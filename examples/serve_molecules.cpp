@@ -6,7 +6,7 @@
 // parameters, reloads them through the ModelRegistry (architecture and
 // preprocessing state are validated against the reference dataset), and
 // serves a request stream through the batched engine: requests coalesce
-// into micro-batches, repeated molecules hit the WL-hash prediction cache,
+// into micro-batches, repeated molecules hit the exact-key prediction cache,
 // and per-stage latency metrics are printed at the end.
 #include <cstdio>
 #include <cstdlib>

@@ -12,7 +12,6 @@ namespace deepmap::graph {
 std::vector<double> EigenvectorCentrality(const Graph& g,
                                           const CentralityOptions& options) {
   const int n = g.NumVertices();
-  if (options.iterations_used != nullptr) *options.iterations_used = 0;
   if (n == 0) return {};
   if (g.NumEdges() == 0) {
     // Adjacency matrix is zero: every vertex is equally (un)central.
@@ -41,39 +40,13 @@ std::vector<double> EigenvectorCentrality(const Graph& g,
 
   std::vector<double> x(n, 0.0);
   std::vector<double> norm(num_components);
-  const bool warm = options.warm_start != nullptr &&
-                    options.warm_start->size() == static_cast<size_t>(n);
-  if (warm) {
-    // Start from the caller's previous vector, renormalized to unit L2 mass
-    // per active component (the invariant the iteration maintains). A
-    // component with no warm mass — e.g. one newly split off by an edge
-    // delta — falls back to the uniform positive start so convergence to
-    // its dominant eigenvector is still guaranteed.
-    std::fill(norm.begin(), norm.end(), 0.0);
-    for (Vertex v = 0; v < n; ++v) {
-      const double w = std::max((*options.warm_start)[v], 0.0);
-      norm[component[v]] += w * w;
-    }
-    for (Vertex v = 0; v < n; ++v) {
-      const int c = component[v];
-      if (!active[c]) continue;
-      x[v] = norm[c] > 0.0
-                 ? std::max((*options.warm_start)[v], 0.0) /
-                       std::sqrt(norm[c])
-                 : 1.0 / std::sqrt(static_cast<double>(size[c]));
-    }
-  } else {
-    for (Vertex v = 0; v < n; ++v) {
-      if (active[component[v]]) {
-        x[v] = 1.0 / std::sqrt(static_cast<double>(size[component[v]]));
-      }
+  for (Vertex v = 0; v < n; ++v) {
+    if (active[component[v]]) {
+      x[v] = 1.0 / std::sqrt(static_cast<double>(size[component[v]]));
     }
   }
   std::vector<double> next(n, 0.0);
   for (int iter = 0; iter < options.max_iterations; ++iter) {
-    if (options.iterations_used != nullptr) {
-      *options.iterations_used = iter + 1;
-    }
     // Iterate on A + I: same eigenvectors as A, but the top eigenvalue is
     // strictly dominant in magnitude, so the iteration also converges on
     // bipartite graphs (where A's spectrum is symmetric and plain power

@@ -16,17 +16,6 @@ struct CentralityOptions {
   double tolerance = 1e-10;
   /// PageRank damping factor.
   double damping = 0.85;
-  /// EigenvectorCentrality warm start: when non-null and sized to the graph,
-  /// the power iteration starts from this vector (renormalized per
-  /// component, entries clamped to >= 0) instead of the uniform positive
-  /// start. The fixed point is unchanged; starting near the previous answer
-  /// after a small edge delta typically converges in 1-2 rounds instead of
-  /// tens (see graph/dynamic_graph.h). Null (the default) leaves the cold
-  /// path bit-identical to the historical behavior.
-  const std::vector<double>* warm_start = nullptr;
-  /// When non-null, receives the number of power-iteration rounds executed
-  /// (0 for the edgeless early-outs). Lets benches report warm-vs-cold work.
-  int* iterations_used = nullptr;
 };
 
 /// Eigenvector centrality via power iteration on the adjacency matrix,

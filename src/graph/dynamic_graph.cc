@@ -4,18 +4,11 @@
 #include <utility>
 
 #include "common/check.h"
-#include "graph/isomorphism.h"
 
 namespace deepmap::graph {
 
-DynamicGraph::DynamicGraph(Graph base, const DynamicGraphOptions& options)
-    : graph_(std::move(base)), options_(options) {
-  DEEPMAP_CHECK_GE(options_.wl_iterations, 0);
-  levels_ = WlHashColors(graph_, options_.wl_iterations);
-  digest_sum_ = 0;
-  for (uint64_t h : levels_.back()) digest_sum_ += WlHashDigestLeaf(h);
-  dist_.assign(graph_.NumVertices(), -1);
-}
+DynamicGraph::DynamicGraph(Graph base)
+    : graph_(std::move(base)), digest_(DigestOf(graph_)) {}
 
 Status DynamicGraph::Apply(const EdgeUpdate& update) {
   Status s = ApplyImpl(update);
@@ -34,68 +27,19 @@ Status DynamicGraph::ApplyImpl(const EdgeUpdate& update) {
   if (u == v) {
     return Status::InvalidArgument("edge update is a self loop");
   }
-  if (update.insert && graph_.HasEdge(u, v)) {
-    return Status::InvalidArgument("inserting already-present edge");
-  }
-  if (!update.insert && !graph_.HasEdge(u, v)) {
-    return Status::InvalidArgument("removing absent edge");
-  }
-
-  // The changed set must be collected in whichever graph CONTAINS the edge:
-  // level-h hashes depend on edges incident to each vertex's radius-(h-1)
-  // ball, and only distances measured with the edge present bound which
-  // balls the edge is incident to. Removal never shrinks distances, so for
-  // deletes the pre-removal ball covers the post-removal one.
-  const int radius = options_.wl_iterations - 1;
-  auto collect_ball = [&] {
-    if (radius < 0) return;  // wl_iterations == 0: labels only, no repair
-    dist_[u] = 0;
-    visited_.push_back(u);
-    dist_[v] = 0;
-    visited_.push_back(v);
-    for (size_t head = 0; head < visited_.size(); ++head) {
-      const Vertex w = visited_[head];
-      if (dist_[w] == radius) continue;
-      for (Vertex x : graph_.Neighbors(w)) {
-        if (dist_[x] < 0) {
-          dist_[x] = dist_[w] + 1;
-          visited_.push_back(x);
-        }
-      }
-    }
-  };
-
+  // Graph::AddEdge/RemoveEdge refuse (and leave the graph untouched) an
+  // already-present or absent edge.
   if (update.insert) {
-    DEEPMAP_CHECK(graph_.AddEdge(u, v));
-    collect_ball();
-  } else {
-    collect_ball();
-    DEEPMAP_CHECK(graph_.RemoveEdge(u, v));
-  }
-
-  // Level by level: a vertex at distance d from the delta can first feel it
-  // at level d+1, so level t repairs exactly the dist <= t-1 slice. Reads
-  // at level t only touch levels_[t-1], which the previous pass finished.
-  for (int t = 1; t <= options_.wl_iterations; ++t) {
-    const bool top = t == options_.wl_iterations;
-    for (Vertex w : visited_) {
-      if (dist_[w] <= t - 1) {
-        const uint64_t fresh = WlHashStep(graph_, w, levels_[t - 1]);
-        if (top) {
-          // The digest is a modular leaf sum over the top level, so it
-          // repairs in O(1) per recolored vertex alongside the hashes.
-          digest_sum_ -= WlHashDigestLeaf(levels_[t][w]);
-          digest_sum_ += WlHashDigestLeaf(fresh);
-        }
-        levels_[t][w] = fresh;
-      }
+    if (!graph_.AddEdge(u, v)) {
+      return Status::InvalidArgument("inserting already-present edge");
     }
+    digest_.AddEdge(u, v);
+  } else {
+    if (!graph_.RemoveEdge(u, v)) {
+      return Status::InvalidArgument("removing absent edge");
+    }
+    digest_.RemoveEdge(u, v);
   }
-  for (Vertex w : visited_) dist_[w] = -1;
-  visited_.clear();
-
-  fingerprint_dirty_ = true;
-  centrality_dirty_ = true;
   return Status::Ok();
 }
 
@@ -118,35 +62,6 @@ Status DynamicGraph::ApplyAll(const std::vector<EdgeUpdate>& updates) {
   }
   updates_applied_ += static_cast<int64_t>(updates.size());
   return Status::Ok();
-}
-
-const std::vector<uint64_t>& DynamicGraph::Hashes(int level) const {
-  DEEPMAP_CHECK_GE(level, 0);
-  DEEPMAP_CHECK_LE(level, options_.wl_iterations);
-  return levels_[static_cast<size_t>(level)];
-}
-
-const std::string& DynamicGraph::Fingerprint() {
-  if (fingerprint_dirty_) {
-    fingerprint_ = WlHashFingerprintFromDigest(
-        options_.wl_iterations,
-        WlHashDigestFromSum(digest_sum_, graph_.NumVertices(),
-                            options_.wl_iterations));
-    fingerprint_dirty_ = false;
-  }
-  return fingerprint_;
-}
-
-const std::vector<double>& DynamicGraph::Centrality() {
-  if (centrality_dirty_ || !centrality_valid_) {
-    CentralityOptions options = options_.centrality;
-    options.warm_start = centrality_valid_ ? &centrality_ : nullptr;
-    options.iterations_used = &last_centrality_iterations_;
-    centrality_ = EigenvectorCentrality(graph_, options);
-    centrality_valid_ = true;
-    centrality_dirty_ = false;
-  }
-  return centrality_;
 }
 
 }  // namespace deepmap::graph

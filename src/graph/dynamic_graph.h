@@ -1,31 +1,16 @@
-// DynamicGraph: incremental edge insert/delete over Graph with incremental
-// WL refinement and warm-started eigenvector centrality.
+// DynamicGraph: strict edge insert/delete over Graph with an O(1) digest
+// update per edge.
 //
-// The serving stack fingerprints every request graph with `wl_iterations`
-// rounds of WL refinement and aligns vertices by eigenvector centrality.
-// Recomputing both from scratch after every edge delta is O(k(|V|+|E|))
-// hashing plus tens of power-iteration rounds; this class maintains them:
-//
-//  - WL hashes (graph/isomorphism.h, WlHashColors): each vertex's level-h
-//    value is a pure function of its radius-h neighborhood, so an edge
-//    delta on {u, v} can only change level-h values of vertices within
-//    distance h-1 of an endpoint (distances measured in whichever graph
-//    CONTAINS the edge — the new graph for inserts, the old one for
-//    deletes). Apply() collects that ball with one bounded BFS and
-//    recomputes only the affected (level, vertex) pairs, level by level.
-//    The maintained state is always bit-identical to a full
-//    WlHashColors/WlHashFingerprint recomputation — the equality the
-//    dynamic test suite fuzzes.
-//
-//  - Eigenvector centrality: Centrality() reruns the power iteration but
-//    warm-starts it from the previous converged vector
-//    (CentralityOptions::warm_start), preserving the per-component
-//    normalization. After a small delta the start is already near the fixed
-//    point, so the iteration typically stops after 1-2 rounds instead of
-//    tens. Values agree with a cold run up to the iteration tolerance (both
-//    are the same dominant eigenvector); they are NOT bit-identical, which
-//    is why the serving integration recomputes predictions through the full
-//    pipeline on a cache miss instead of patching tensors.
+// The serving stack keys its prediction cache on the graph's exact content
+// digest (graph/digest.h): vertex count, every (id, label) and the edge set.
+// That digest is a modular sum of per-vertex and per-edge leaves, so an edge
+// delta moves it by exactly one edge leaf per lane — Apply() adds or
+// subtracts that leaf and never rescans the graph. The maintained digest is
+// always equal to DigestOf(graph()), the equality the dynamic test suites
+// fuzz. Nothing else is maintained: on a cache miss the serving layer runs
+// the mutated snapshot through the full pipeline (centrality, alignment,
+// receptive fields, forward pass), so ClassifyDelta answers are
+// bit-identical to a fresh Classify of the same graph.
 //
 // Deltas are strict: inserting a present edge, removing an absent one, self
 // loops, and out-of-range endpoints are InvalidArgument. ApplyAll is
@@ -37,11 +22,10 @@
 #define DEEPMAP_GRAPH_DYNAMIC_GRAPH_H_
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "common/status.h"
-#include "graph/centrality.h"
+#include "graph/digest.h"
 #include "graph/graph.h"
 
 namespace deepmap::graph {
@@ -56,27 +40,19 @@ struct EdgeUpdate {
   static EdgeUpdate Remove(Vertex u, Vertex v) { return {u, v, false}; }
 };
 
-struct DynamicGraphOptions {
-  /// WL refinement depth to maintain (matches the serving cache key's
-  /// wl_iterations).
-  int wl_iterations = 2;
-  /// Power-iteration knobs for Centrality(); warm_start/iterations_used are
-  /// managed internally and ignored here.
-  CentralityOptions centrality;
-};
-
-/// A Graph plus incrementally maintained WL hashes and centrality.
+/// A Graph plus its incrementally maintained content digest.
 class DynamicGraph {
  public:
-  explicit DynamicGraph(Graph base, const DynamicGraphOptions& options = {});
+  explicit DynamicGraph(Graph base);
 
   const Graph& graph() const { return graph_; }
-  int wl_iterations() const { return options_.wl_iterations; }
+  /// Always equal to DigestOf(graph()).
+  const GraphDigest& digest() const { return digest_; }
   /// Edge updates committed to the graph. A failed ApplyAll batch counts
   /// zero: neither its rolled-back prefix nor the rollback itself shows up.
   int64_t updates_applied() const { return updates_applied_; }
 
-  /// Applies one edge mutation and incrementally repairs the WL hashes.
+  /// Applies one edge mutation and updates the digest by one edge leaf.
   /// InvalidArgument (graph untouched) for out-of-range endpoints, self
   /// loops, inserting a present edge, or removing an absent one.
   Status Apply(const EdgeUpdate& update);
@@ -85,53 +61,14 @@ class DynamicGraph {
   /// applied prefix is rolled back and the graph is exactly as before.
   Status ApplyAll(const std::vector<EdgeUpdate>& updates);
 
-  /// Maintained per-vertex hashes at `level` (0..wl_iterations); always
-  /// equal to WlHashColors(graph(), wl_iterations)[level].
-  const std::vector<uint64_t>& Hashes(int level) const;
-
-  /// Fingerprint of the current graph; always equal to
-  /// WlHashFingerprint(graph(), wl_iterations). Cached between deltas.
-  const std::string& Fingerprint();
-
-  /// Eigenvector centrality of the current graph, warm-started from the
-  /// previous call's result. Same fixed point as a cold
-  /// EigenvectorCentrality run (values agree to the iteration tolerance).
-  const std::vector<double>& Centrality();
-
-  /// Power-iteration rounds the last Centrality() refresh executed (0 until
-  /// the first call). A warm restart after a small delta needs 1-2 rounds;
-  /// a cold run typically needs tens — the bench's speedup lever.
-  int last_centrality_iterations() const {
-    return last_centrality_iterations_;
-  }
-
  private:
   /// Apply() minus the updates_applied_ bump; ApplyAll uses it so a rolled
   /// back batch (and its rollback) leaves the counter untouched.
   Status ApplyImpl(const EdgeUpdate& update);
 
   Graph graph_;
-  DynamicGraphOptions options_;
-  /// levels_[h][v]: maintained WL hash of v at refinement level h.
-  std::vector<std::vector<uint64_t>> levels_;
-
-  /// Running modular sum of WlHashDigestLeaf over levels_.back(): repaired
-  /// in O(1) per recolored vertex, so Fingerprint() never rescans the graph.
-  uint64_t digest_sum_ = 0;
-  std::string fingerprint_;
-  bool fingerprint_dirty_ = true;
-
-  std::vector<double> centrality_;
-  bool centrality_dirty_ = true;
-  bool centrality_valid_ = false;  // true once centrality_ holds a result
-  int last_centrality_iterations_ = 0;
-
+  GraphDigest digest_;
   int64_t updates_applied_ = 0;
-
-  // BFS scratch, sized |V| once: dist_[v] >= 0 only while v is in
-  // visited_; reset after each repair.
-  std::vector<int> dist_;
-  std::vector<Vertex> visited_;
 };
 
 }  // namespace deepmap::graph

@@ -1,7 +1,6 @@
 #include "graph/isomorphism.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <map>
 #include <numeric>
 #include <sstream>
@@ -126,95 +125,6 @@ std::string WlFingerprint(const Graph& g, int iterations) {
   os << "h" << iterations << ":";
   for (int64_t c : sorted_colors) os << c << '|';
   return os.str();
-}
-
-namespace {
-
-// splitmix64 finalizer: a cheap bijective 64-bit mixer with full avalanche.
-uint64_t Mix64(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
-// Domain-separation tags so a label, an own-hash, and a neighbor multiset
-// can never collide structurally.
-constexpr uint64_t kWlLabelTag = 0x77316c6162656c00ULL;
-constexpr uint64_t kWlOwnTag = 0x77316f776e000000ULL;
-constexpr uint64_t kWlDigestTag = 0x77316469676573ULL;
-constexpr uint64_t kWlDigestLeafTag = 0x77316c65616600ULL;
-
-}  // namespace
-
-uint64_t WlHashBase(Label label) {
-  return Mix64(kWlLabelTag ^ static_cast<uint64_t>(
-                                 static_cast<int64_t>(label)));
-}
-
-uint64_t WlHashStep(const Graph& g, Vertex v,
-                    const std::vector<uint64_t>& prev) {
-  // Chain the mixer over (own hash, sorted neighbor hashes). Sorting makes
-  // the chain a multiset function of the neighborhood, so the value is
-  // invariant under any relabeling that preserves the radius-h structure.
-  std::vector<uint64_t> neighborhood;
-  neighborhood.reserve(g.Degree(v));
-  for (Vertex u : g.Neighbors(v)) neighborhood.push_back(prev[u]);
-  std::sort(neighborhood.begin(), neighborhood.end());
-  uint64_t acc = Mix64(prev[v] ^ kWlOwnTag);
-  for (uint64_t h : neighborhood) acc = Mix64(acc ^ h);
-  return acc;
-}
-
-std::vector<std::vector<uint64_t>> WlHashColors(const Graph& g,
-                                                int iterations) {
-  const int n = g.NumVertices();
-  std::vector<std::vector<uint64_t>> levels(iterations + 1);
-  levels[0].resize(n);
-  for (Vertex v = 0; v < n; ++v) levels[0][v] = WlHashBase(g.GetLabel(v));
-  for (int h = 1; h <= iterations; ++h) {
-    levels[h].resize(n);
-    for (Vertex v = 0; v < n; ++v) {
-      levels[h][v] = WlHashStep(g, v, levels[h - 1]);
-    }
-  }
-  return levels;
-}
-
-uint64_t WlHashDigestLeaf(uint64_t value) {
-  return Mix64(value ^ kWlDigestLeafTag);
-}
-
-uint64_t WlHashDigestFromSum(uint64_t leaf_sum, int num_vertices,
-                             int iterations) {
-  const uint64_t seed =
-      Mix64(kWlDigestTag ^ static_cast<uint64_t>(num_vertices) ^
-            (static_cast<uint64_t>(iterations) << 32));
-  return Mix64(seed ^ leaf_sum);
-}
-
-uint64_t WlHashDigest(const std::vector<uint64_t>& values, int num_vertices,
-                      int iterations) {
-  // Commutative combine: a modular sum of per-value mixes is a multiset
-  // function (no sort), and the incremental updater can maintain the sum
-  // under recolorings in O(1) per changed vertex.
-  uint64_t sum = 0;
-  for (uint64_t h : values) sum += WlHashDigestLeaf(h);
-  return WlHashDigestFromSum(sum, num_vertices, iterations);
-}
-
-std::string WlHashFingerprintFromDigest(int iterations, uint64_t digest) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "wh%d:%016llx", iterations,
-                static_cast<unsigned long long>(digest));
-  return buf;
-}
-
-std::string WlHashFingerprint(const Graph& g, int iterations) {
-  auto levels = WlHashColors(g, iterations);
-  return WlHashFingerprintFromDigest(
-      iterations,
-      WlHashDigest(levels.back(), g.NumVertices(), iterations));
 }
 
 IsoResult TestIsomorphism(const Graph& a, const Graph& b) {

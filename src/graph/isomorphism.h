@@ -54,62 +54,6 @@ bool AreIsomorphic(const Graph& a, const Graph& b);
 /// graphs; unequal implies non-isomorphic.
 std::string WlFingerprint(const Graph& g, int iterations);
 
-// ---------------------------------------------------------------------------
-// Hash-based WL refinement.
-//
-// WlFingerprint compresses each round's signatures into dense color ids by
-// sorted rank, which makes colors a GLOBAL function of the graph: one new
-// signature class shifts every later rank, so an edge delta can relabel
-// vertices arbitrarily far from the endpoints. The hash-based variant below
-// replaces rank compression with a 64-bit mix, making every vertex's
-// level-h value a pure function of its radius-h neighborhood (labels +
-// edges). That locality is what lets graph::DynamicGraph maintain the
-// refinement incrementally: an edge insert/delete can only change level-h
-// values within distance h-1 of the touched endpoints.
-
-/// Level-0 hash of a vertex label.
-uint64_t WlHashBase(Label label);
-
-/// Level-h hash of `v` from the full level-(h-1) value vector: mixes the
-/// vertex's own previous hash with the sorted multiset of its neighbors'
-/// previous hashes (order-independent). Exposed for the incremental
-/// updater and its equivalence tests.
-uint64_t WlHashStep(const Graph& g, Vertex v,
-                    const std::vector<uint64_t>& prev);
-
-/// Full refinement: hashes[h][v] for h = 0..iterations. Row 0 hashes the
-/// vertex labels; row h applies WlHashStep to row h-1.
-std::vector<std::vector<uint64_t>> WlHashColors(const Graph& g,
-                                                int iterations);
-
-/// Per-value leaf mix of the digest. The digest is a modular sum of these
-/// over the level's values (wrapped by WlHashDigestFromSum), so an
-/// incremental maintainer updates it in O(1) per recolored vertex by
-/// subtracting the stale leaf and adding the fresh one.
-uint64_t WlHashDigestLeaf(uint64_t value);
-
-/// Digest from a precomputed leaf sum (the incremental path).
-uint64_t WlHashDigestFromSum(uint64_t leaf_sum, int num_vertices,
-                             int iterations);
-
-/// Order-independent digest of one level's value multiset: the commutative
-/// leaf-sum combine above, so it needs no sort and agrees with the
-/// incrementally maintained digest bit-for-bit.
-uint64_t WlHashDigest(const std::vector<uint64_t>& values, int num_vertices,
-                      int iterations);
-
-/// Renders a digest as the fingerprint string "wh<iterations>:<16 hex
-/// digits>" (shared by the full and incremental paths so the two can never
-/// drift).
-std::string WlHashFingerprintFromDigest(int iterations, uint64_t digest);
-
-/// Permutation-invariant fingerprint over the final refinement level.
-/// Isomorphic graphs (and graphs 1-WL cannot separate) always collide;
-/// distinct WL classes collide with probability ~2^-64. Cheaper than
-/// WlFingerprint (no signature dictionaries) and incrementally
-/// maintainable — the prediction-cache key is built on it.
-std::string WlHashFingerprint(const Graph& g, int iterations);
-
 }  // namespace deepmap::graph
 
 #endif  // DEEPMAP_GRAPH_ISOMORPHISM_H_

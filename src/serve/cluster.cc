@@ -163,8 +163,10 @@ StatusOr<Prediction> ServeCluster::ClassifyDelta(
   if (!delta.ok()) return delta.status();
   metrics_.RecordDynamicUpdate(delta.value().applied);
   if (options_.cache_capacity > 0) {
-    // Exact invalidation: only the pre-delta structure's entry is stale.
-    // (A no-op delta leaves the keys equal — never drop a live entry.)
+    // Erase exactly the pre-delta structure's entry. With exact keys it is
+    // not stale, but keeping it would add a cache entry per delta. (A no-op
+    // delta leaves the keys equal — never drop the entry about to be looked
+    // up.)
     if (delta.value().old_key != delta.value().new_key) {
       cache_.Erase(delta.value().old_key);
     }

@@ -2,8 +2,8 @@
 //
 //   Submit(graph, options)
 //     -> deadline check (expired requests rejected at admission)
-//     -> shared sharded PredictionCache lookup (WL graph hash; hit resolves
-//        immediately without touching any replica)
+//     -> shared sharded PredictionCache lookup (exact graph digest; hit
+//        resolves immediately without touching any replica)
 //     -> per-tenant fair-share admission: when the aggregate backlog exceeds
 //        the watermark, tenants holding more than their fair share of the
 //        cluster's queue capacity are shed (ResourceExhausted) so one noisy
@@ -71,7 +71,8 @@ class ServeCluster {
     Supervisor::Options supervision;
     /// Shared prediction cache; 0 disables caching cluster-wide.
     size_t cache_capacity = 4096;
-    /// WL refinement rounds for the cache key.
+    /// Unused by the cache key (an exact digest, PredictionCache::KeyFor).
+    /// servebench/ still reads it; it goes with the next benchmark change.
     int cache_wl_iterations = 2;
     /// Lock stripes of the shared cache. 0 = auto (2x replicas, so
     /// concurrent replicas rarely contend on a stripe).
@@ -105,10 +106,10 @@ class ServeCluster {
 
   /// Dynamic-graph serving, mirroring InferenceEngine: register a
   /// long-lived graph, then classify edge deltas against it. ClassifyDelta
-  /// applies the delta incrementally, erases exactly the stale cache entry
-  /// of the pre-delta structure (never Clear()), and on a cache miss runs
-  /// the mutated graph through the normal dispatch path — logits are
-  /// bit-identical to a fresh Submit of that graph.
+  /// applies the delta with an O(1) per-edge key update, erases exactly the
+  /// cache entry of the pre-delta structure (never Clear()), and on a cache
+  /// miss runs the mutated graph through the normal dispatch path — logits
+  /// are bit-identical to a fresh Submit of that graph.
   Status RegisterDynamicGraph(const std::string& id, graph::Graph g);
   Status UnregisterDynamicGraph(const std::string& id);
   StatusOr<Prediction> ClassifyDelta(
@@ -181,8 +182,8 @@ class ServeCluster {
   ClusterMetrics cluster_metrics_;
   HealthMetrics health_metrics_;
   PredictionCache cache_;
-  /// Registered graphs for ClassifyDelta (keys at cache_wl_iterations so
-  /// they collide with Submit's).
+  /// Registered graphs for ClassifyDelta (their keys equal Submit's
+  /// PredictionCache::KeyFor of the same graph).
   DynamicGraphStore dynamic_graphs_;
   mutable DispatchState dispatch_;  // mutable: const accessors lock its mu
 

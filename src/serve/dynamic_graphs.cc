@@ -8,21 +8,16 @@ namespace deepmap::serve {
 namespace {
 
 /// Key of the entry's CURRENT graph. Caller holds the entry mutex.
-std::string KeyOf(graph::DynamicGraph& dyn) {
-  return PredictionCache::KeyFromFingerprint(dyn.graph().NumVertices(),
-                                             dyn.graph().NumEdges(),
-                                             dyn.Fingerprint());
+std::string KeyOf(const graph::DynamicGraph& dyn) {
+  return PredictionCache::KeyFromDigest(dyn.digest());
 }
 
 }  // namespace
 
-DynamicGraphStore::DynamicGraphStore(int wl_iterations)
-    : wl_iterations_(wl_iterations) {}
+DynamicGraphStore::DynamicGraphStore(int /*wl_iterations*/) {}
 
 Status DynamicGraphStore::Register(const std::string& id, graph::Graph g) {
-  graph::DynamicGraphOptions options;
-  options.wl_iterations = wl_iterations_;
-  auto entry = std::make_shared<Entry>(std::move(g), options);
+  auto entry = std::make_shared<Entry>(std::move(g));
   std::lock_guard<std::mutex> lock(mu_);
   auto [it, inserted] = graphs_.emplace(id, std::move(entry));
   if (!inserted) {

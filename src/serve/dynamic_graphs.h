@@ -1,13 +1,14 @@
 // DynamicGraphStore: registered long-lived graphs that serving mutates in
 // place via edge deltas (ClassifyDelta on InferenceEngine / ServeCluster).
 //
-// Each registered graph is a graph::DynamicGraph, so applying a delta
-// repairs the WL hashes incrementally instead of rehashing the whole graph,
-// and the store hands back the BEFORE and AFTER prediction-cache keys of
-// the mutation. The caller uses them for exact invalidation: erase the old
-// key (that prediction describes a graph that no longer exists), look up
-// the new one (a delta-then-revert sequence, or two registered graphs
-// converging on the same structure, hits without running the model).
+// Each registered graph is a graph::DynamicGraph, so applying a delta moves
+// the graph's content digest by one edge leaf per update instead of
+// rescanning the graph, and the store hands back the BEFORE and AFTER
+// prediction-cache keys of the mutation — always equal to
+// PredictionCache::KeyFor of the pre- and post-delta snapshots. The caller
+// erases the old key and looks up the new one (a delta-then-revert
+// sequence, or a registered graph returning to a structure classified
+// before, hits without running the model).
 //
 // Locking is two-level: a store mutex guards the id map, a per-entry mutex
 // serializes deltas against the same graph. Deltas on different graphs
@@ -43,8 +44,8 @@ struct DeltaResult {
 /// Thread-safe id -> DynamicGraph map.
 class DynamicGraphStore {
  public:
-  /// `wl_iterations` must match the serving cache key's depth (the keys
-  /// this store computes and the ones Submit computes must collide).
+  /// `wl_iterations` is unused by the keys (they are exact digests, see
+  /// PredictionCache::KeyFor); servebench/ still passes it.
   explicit DynamicGraphStore(int wl_iterations);
 
   /// Registers `g` under `id`; FailedPrecondition if the id is taken.
@@ -70,12 +71,10 @@ class DynamicGraphStore {
   StatusOr<std::string> CacheKey(const std::string& id) const;
 
   size_t size() const;
-  int wl_iterations() const { return wl_iterations_; }
 
  private:
   struct Entry {
-    explicit Entry(graph::Graph g, const graph::DynamicGraphOptions& options)
-        : dyn(std::move(g), options) {}
+    explicit Entry(graph::Graph g) : dyn(std::move(g)) {}
     std::mutex mu;
     graph::DynamicGraph dyn;
   };
@@ -86,7 +85,6 @@ class DynamicGraphStore {
   /// locks entry->mu.
   std::shared_ptr<Entry> Find(const std::string& id) const;
 
-  const int wl_iterations_;
   mutable std::mutex mu_;  // guards graphs_ (the map, not the entries)
   std::unordered_map<std::string, std::shared_ptr<Entry>> graphs_;
 };

@@ -43,7 +43,7 @@ InferenceEngine::InferenceEngine(std::shared_ptr<ServableModel> model,
                     [this](double total_us) { RecordLatencySample(total_us); },
                     /*on_complete=*/nullptr}),
       admission_rng_(options.admission.seed),
-      dynamic_graphs_(options.cache_wl_iterations) {
+      dynamic_graphs_(/*wl_iterations=*/0) {
   DEEPMAP_CHECK(model_ != nullptr);
   DEEPMAP_LOG(Info) << "InferenceEngine serving model '" << model_->name()
                     << "' via backend '" << model_->backend_name() << "'";
@@ -149,7 +149,7 @@ std::future<StatusOr<Prediction>> InferenceEngine::SubmitPrepared(
   if (options_.cache_capacity > 0) {
     queued.cache_key =
         cache_key.empty()
-            ? PredictionCache::KeyFor(g, options_.cache_wl_iterations)
+            ? PredictionCache::KeyFor(g, /*wl_iterations=*/0)
             : std::move(cache_key);
     if (lookup_cache) {
       if (std::optional<Prediction> hit = cache_.Lookup(queued.cache_key)) {
@@ -234,8 +234,10 @@ StatusOr<Prediction> InferenceEngine::ClassifyDelta(
   if (!delta.ok()) return delta.status();
   metrics_.RecordDynamicUpdate(delta.value().applied);
   if (options_.cache_capacity > 0) {
-    // Exact invalidation: only the pre-delta structure's entry is stale.
-    // (A no-op delta leaves the keys equal — never drop a live entry.)
+    // Erase exactly the pre-delta structure's entry. With exact keys it is
+    // not stale, but keeping it would add a cache entry per delta. (A no-op
+    // delta leaves the keys equal — never drop the entry about to be looked
+    // up.)
     if (delta.value().old_key != delta.value().new_key) {
       cache_.Erase(delta.value().old_key);
     }

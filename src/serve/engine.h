@@ -2,8 +2,8 @@
 //
 //   Submit(graph, options)
 //     -> deadline check (expired requests rejected at admission)
-//     -> PredictionCache lookup (WL graph hash; hit resolves immediately,
-//        skipping preprocessing and the forward pass)
+//     -> PredictionCache lookup (exact graph digest; hit resolves
+//        immediately, skipping preprocessing and the forward pass)
 //     -> admission controller (queue depth + observed p95 latency drive a
 //        probabilistic load-shed with ResourceExhausted)
 //     -> MicroBatcher (bounded MPSC queue, coalesces max_batch / max_wait_us)
@@ -100,9 +100,7 @@ class InferenceEngine {
     /// Prediction-cache entries; 0 disables caching (and skips hash
     /// computation on the submit path entirely).
     size_t cache_capacity = 4096;
-    /// WL refinement rounds for the cache key.
-    int cache_wl_iterations = 2;
-    /// Lock stripes of the prediction cache: the WL key hash picks a shard,
+    /// Lock stripes of the prediction cache: the key's hash picks a shard,
     /// each with its own mutex + LRU list, so concurrent submitters don't
     /// serialize on one cache lock. 1 = the historical single-lock cache.
     size_t cache_shards = 4;
@@ -142,8 +140,8 @@ class InferenceEngine {
                                 const RequestOptions& request = {});
 
   /// Dynamic-graph serving. Register a long-lived graph once, then classify
-  /// edge deltas against it: ClassifyDelta applies the delta (incremental
-  /// WL repair, not a full rehash), invalidates exactly the stale cache
+  /// edge deltas against it: ClassifyDelta applies the delta (an O(1)
+  /// digest update per edge, not a full rehash), erases exactly the cache
   /// entry of the pre-delta structure, and answers from cache when the
   /// post-delta structure has been classified before — otherwise it runs
   /// the full pipeline on the mutated graph, so the returned logits are
@@ -213,8 +211,8 @@ class InferenceEngine {
   std::mutex admission_mu_;  // guards admission_rng_
   Rng admission_rng_;
 
-  /// Registered graphs for ClassifyDelta (keys at cache_wl_iterations so
-  /// they collide with Submit's).
+  /// Registered graphs for ClassifyDelta (their keys equal Submit's
+  /// PredictionCache::KeyFor of the same graph).
   DynamicGraphStore dynamic_graphs_;
 
   std::unique_ptr<MicroBatcher> batcher_;  // last member: stops first

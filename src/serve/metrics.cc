@@ -90,7 +90,7 @@ ServeMetrics::ServeMetrics(obs::MetricsRegistry* registry)
   dynamic_incremental_hits_ = &r.GetCounter(
       "deepmap_serve_dynamic_incremental_hits_total",
       "ClassifyDelta calls answered from cache after an incremental "
-      "fingerprint update");
+      "digest update");
   dynamic_full_recomputes_ = &r.GetCounter(
       "deepmap_serve_dynamic_full_recomputes_total",
       "ClassifyDelta calls that ran the full pipeline on the mutated graph");

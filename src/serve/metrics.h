@@ -102,8 +102,8 @@ class ServeMetrics {
   /// Dynamic-graph serving (ClassifyDelta). `edges` edge updates applied
   /// incrementally to a registered graph.
   void RecordDynamicUpdate(int64_t edges);
-  /// One ClassifyDelta answered by the cache after the incremental
-  /// fingerprint update (the fast path the feature exists for).
+  /// One ClassifyDelta answered by the cache after the O(1) per-edge
+  /// digest update (the fast path the feature exists for).
   void RecordDynamicIncrementalHit();
   /// One ClassifyDelta that had to run the full pipeline on the mutated
   /// graph.

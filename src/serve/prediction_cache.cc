@@ -4,7 +4,6 @@
 #include <functional>
 
 #include "common/failpoint.h"
-#include "graph/isomorphism.h"
 
 namespace deepmap::serve {
 
@@ -40,19 +39,12 @@ PredictionCache::PredictionCache(size_t capacity, size_t num_shards,
 }
 
 std::string PredictionCache::KeyFor(const graph::Graph& g,
-                                    int wl_iterations) {
-  return KeyFromFingerprint(g.NumVertices(), g.NumEdges(),
-                            graph::WlHashFingerprint(g, wl_iterations));
+                                    int /*wl_iterations*/) {
+  return KeyFromDigest(graph::DigestOf(g));
 }
 
-std::string PredictionCache::KeyFromFingerprint(
-    int num_vertices, int64_t num_edges, const std::string& fingerprint) {
-  std::string key = std::to_string(num_vertices);
-  key += ':';
-  key += std::to_string(num_edges);
-  key += ':';
-  key += fingerprint;
-  return key;
+std::string PredictionCache::KeyFromDigest(const graph::GraphDigest& digest) {
+  return digest.ToHex();
 }
 
 size_t PredictionCache::ShardIndexFor(const std::string& key) const {

@@ -1,17 +1,21 @@
-// Sharded, lock-striped LRU prediction cache keyed by a WL-refinement graph
-// hash.
+// Sharded, lock-striped LRU prediction cache keyed by an exact graph digest.
 //
 // Serving traffic is heavy on resubmissions (the same molecule screened
-// twice, the same ego network re-ranked). The cache key is (|V|, |E|, WL
-// color-multiset fingerprint); a warm hit skips preprocessing and the
-// forward pass entirely. All graphs sharing a key — isomorphic re-labelings
-// and, more generally, graphs 1-WL cannot separate — are served from one
-// entry: the prediction of the first such graph classified. That is the
-// intended semantics for screening workloads (a resubmitted compound is the
-// same compound), but it is an approximation: DEEPMAP's centrality
-// alignment breaks ties by vertex id, so a permuted copy of a graph can map
-// to a slightly different input tensor than the cached representative did.
-// Disable the cache (capacity 0) when exact per-submission outputs matter.
+// twice, the same ego network re-ranked); a warm hit skips preprocessing
+// and the forward pass entirely. The key is the hex of graph::DigestOf, a
+// 128-bit digest of every vertex (id, label) and every edge, so one entry
+// only ever serves the graph it was computed for: a hit returns the bytes a
+// fresh Predict(Preprocess(g)) would whenever preprocessing is a function
+// of the graph alone (true for the WL, SP and Tree++ maps, whose color ids
+// never change once assigned; graphlet sampling draws from a shared RNG
+// stream). The exception is a digest collision: ~2^-128 for graphs not
+// crafted against the digest, which is unkeyed (see graph/digest.h).
+// The key is deliberately NOT an isomorphism or WL invariant: DEEPMAP
+// aligns vertices by eigenvector centrality with ties broken by vertex id,
+// so a renumbered copy of a graph — let alone a WL-equivalent
+// non-isomorphic one — can map to a different input tensor and different
+// logits. A cache may only merge inputs the model maps to the same output.
+// Building the key is one O(|V| + |E|) pass with no sort.
 //
 // Concurrency: the key space is hash-partitioned into `num_shards` shards,
 // each a self-contained LRU (list + index + hit/miss/eviction counters)
@@ -50,13 +54,14 @@
 #include <utility>
 #include <vector>
 
+#include "graph/digest.h"
 #include "graph/graph.h"
 #include "obs/metrics.h"
 #include "serve/compiled_model.h"
 
 namespace deepmap::serve {
 
-/// Thread-safe sharded LRU map from graph hash to Prediction.
+/// Thread-safe sharded LRU map from graph digest key to Prediction.
 class PredictionCache {
  public:
   /// `capacity` == 0 disables the cache (every Lookup misses). `num_shards`
@@ -67,17 +72,14 @@ class PredictionCache {
   explicit PredictionCache(size_t capacity, size_t num_shards = 1,
                            obs::MetricsRegistry* registry = nullptr);
 
-  /// Cache key: "n:m:<wl hash fingerprint>". `wl_iterations` trades key
-  /// cost for resolution; isomorphic graphs always collide, WL-equivalent
-  /// graphs too. Built on WlHashFingerprint (not WlFingerprint) so the
-  /// dynamic-graph path can maintain the same key incrementally.
+  /// Cache key of `g`: the 32 hex digits of graph::DigestOf(g).
+  /// `wl_iterations` is unused by the key; it is kept so callers written
+  /// against the former WL-hash key still compile.
   static std::string KeyFor(const graph::Graph& g, int wl_iterations);
 
-  /// Assembles the key KeyFor would produce from an already-computed
-  /// fingerprint (the DynamicGraph path, which never rehashes from
-  /// scratch).
-  static std::string KeyFromFingerprint(int num_vertices, int64_t num_edges,
-                                        const std::string& fingerprint);
+  /// The key KeyFor would produce for a graph with this digest (the
+  /// DynamicGraph path, which maintains the digest per edge).
+  static std::string KeyFromDigest(const graph::GraphDigest& digest);
 
   /// The shard `key` stripes onto (stable for the cache's lifetime).
   size_t ShardIndexFor(const std::string& key) const;

@@ -1,19 +1,20 @@
-// DynamicGraph: the incremental WL repair must be bit-identical to a full
-// recomputation after every delta (fuzzed), deltas must be strict and
-// ApplyAll atomic, and warm-started centrality must agree with a cold run.
+// DynamicGraph: the per-edge digest update must equal a full DigestOf
+// recomputation after every delta (fuzzed, rolled-back batches included),
+// deltas must be strict and ApplyAll atomic. GraphDigest: equal graphs share
+// a digest regardless of construction order; a different edge, label or
+// vertex numbering gives a different one — including for isomorphic and
+// WL-equivalent graphs, which the DEEPMAP input does not treat as equal.
 #include "graph/dynamic_graph.h"
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/rng.h"
-#include "graph/centrality.h"
+#include "graph/digest.h"
 #include "graph/graph.h"
-#include "graph/isomorphism.h"
 
 namespace deepmap::graph {
 namespace {
@@ -31,58 +32,80 @@ Graph RandomGraph(Rng& rng, int n, double edge_probability) {
   return g;
 }
 
-/// Asserts every maintained level and the fingerprint equal a from-scratch
-/// recomputation on the current graph.
-void ExpectMatchesFullRecompute(DynamicGraph& dyn) {
-  const auto full = WlHashColors(dyn.graph(), dyn.wl_iterations());
-  for (int h = 0; h <= dyn.wl_iterations(); ++h) {
-    ASSERT_EQ(dyn.Hashes(h), full[static_cast<size_t>(h)])
-        << "level " << h << " diverged from full recompute";
+/// Asserts the maintained digest equals a from-scratch DigestOf.
+void ExpectMatchesFullRecompute(const DynamicGraph& dyn) {
+  EXPECT_EQ(dyn.digest().ToHex(), DigestOf(dyn.graph()).ToHex());
+}
+
+/// Toggle of a random vertex pair of `shadow` (insert when absent, remove
+/// when present), applied to `shadow` too.
+EdgeUpdate RandomToggle(Rng& rng, Graph& shadow) {
+  const int n = shadow.NumVertices();
+  Vertex u = 0, v = 0;
+  while (u == v) {
+    u = static_cast<Vertex>(rng.Index(n));
+    v = static_cast<Vertex>(rng.Index(n));
   }
-  EXPECT_EQ(dyn.Fingerprint(),
-            WlHashFingerprint(dyn.graph(), dyn.wl_iterations()));
+  if (shadow.HasEdge(u, v)) {
+    shadow.RemoveEdge(u, v);
+    return EdgeUpdate::Remove(u, v);
+  }
+  shadow.AddEdge(u, v);
+  return EdgeUpdate::Insert(u, v);
 }
 
 class DynamicWlFuzzTest : public ::testing::TestWithParam<int> {};
 
+// Single toggles and multi-update batches, a third of the batches ending in
+// an invalid update so the whole batch rolls back: after every step the
+// maintained digest must equal a full recomputation.
 TEST_P(DynamicWlFuzzTest, IncrementalRepairMatchesFullRecompute) {
   Rng rng(GetParam());
   const int n = 8 + static_cast<int>(rng.Index(25));
-  DynamicGraphOptions options;
-  options.wl_iterations = 1 + static_cast<int>(rng.Index(4));  // 1..4
-  DynamicGraph dyn(RandomGraph(rng, n, 0.15), options);
+  DynamicGraph dyn(RandomGraph(rng, n, 0.15));
   ExpectMatchesFullRecompute(dyn);
 
   for (int step = 0; step < 60; ++step) {
-    const Vertex u = static_cast<Vertex>(rng.Index(n));
-    const Vertex v = static_cast<Vertex>(rng.Index(n));
-    if (u == v) continue;
-    // Toggle: insert when absent, remove when present — both directions of
-    // the repair (post-insert BFS vs pre-delete BFS) get exercised.
-    const EdgeUpdate update = dyn.graph().HasEdge(u, v)
-                                  ? EdgeUpdate::Remove(u, v)
-                                  : EdgeUpdate::Insert(u, v);
-    ASSERT_TRUE(dyn.Apply(update).ok());
+    Graph shadow = dyn.graph();
+    std::vector<EdgeUpdate> batch;
+    const int size = 1 + static_cast<int>(rng.Index(4));
+    for (int i = 0; i < size; ++i) batch.push_back(RandomToggle(rng, shadow));
+    const bool poisoned = rng.Index(3) == 0;
+    if (poisoned) batch.push_back(EdgeUpdate::Insert(0, 0));  // self loop
+
+    const std::string before = dyn.digest().ToHex();
+    const Status s = dyn.ApplyAll(batch);
+    if (poisoned) {
+      ASSERT_EQ(s.code(), StatusCode::kInvalidArgument);
+      EXPECT_EQ(dyn.digest().ToHex(), before);
+    } else {
+      ASSERT_TRUE(s.ok()) << s.ToString();
+      EXPECT_TRUE(dyn.graph() == shadow);
+    }
     ExpectMatchesFullRecompute(dyn);
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DynamicWlFuzzTest, ::testing::Range(400, 410));
 
-TEST(DynamicGraphTest, ZeroIterationsMaintainsLabelHashesOnly) {
+TEST(DynamicGraphTest, DigestMatchesFullRecomputeFromEdgelessStart) {
   Rng rng(1);
-  DynamicGraphOptions options;
-  options.wl_iterations = 0;
-  DynamicGraph dyn(RandomGraph(rng, 10, 0.3), options);
+  DynamicGraph dyn(RandomGraph(rng, 10, 0.0));
   ExpectMatchesFullRecompute(dyn);
-  ASSERT_TRUE(dyn.Apply(EdgeUpdate{0, 1, !dyn.graph().HasEdge(0, 1)}).ok());
-  ExpectMatchesFullRecompute(dyn);
+  for (Vertex v = 1; v < 10; ++v) {
+    ASSERT_TRUE(dyn.Apply(EdgeUpdate::Insert(v - 1, v)).ok());
+    ExpectMatchesFullRecompute(dyn);
+  }
+  for (Vertex v = 1; v < 10; v += 2) {
+    ASSERT_TRUE(dyn.Apply(EdgeUpdate::Remove(v, v - 1)).ok());
+    ExpectMatchesFullRecompute(dyn);
+  }
 }
 
 TEST(DynamicGraphTest, InsertThenRemoveRestoresFingerprint) {
   Rng rng(7);
   DynamicGraph dyn(RandomGraph(rng, 16, 0.2));
-  const std::string before = dyn.Fingerprint();
+  const std::string before = dyn.digest().ToHex();
   Vertex u = 0, v = 0;
   for (Vertex a = 0; a < 16 && u == v; ++a) {
     for (Vertex b = a + 1; b < 16; ++b) {
@@ -95,16 +118,16 @@ TEST(DynamicGraphTest, InsertThenRemoveRestoresFingerprint) {
   }
   ASSERT_NE(u, v);
   ASSERT_TRUE(dyn.Apply(EdgeUpdate::Insert(u, v)).ok());
-  EXPECT_NE(dyn.Fingerprint(), before);  // |E| changed, WL digest changed
+  EXPECT_NE(dyn.digest().ToHex(), before);
   ASSERT_TRUE(dyn.Apply(EdgeUpdate::Remove(u, v)).ok());
-  EXPECT_EQ(dyn.Fingerprint(), before);
+  EXPECT_EQ(dyn.digest().ToHex(), before);
   EXPECT_EQ(dyn.updates_applied(), 2);
 }
 
 TEST(DynamicGraphTest, InvalidUpdatesAreRejectedAndLeaveStateUntouched) {
   Graph base = Graph::FromEdges(4, {{0, 1}, {1, 2}});
   DynamicGraph dyn(base);
-  const std::string before = dyn.Fingerprint();
+  const std::string before = dyn.digest().ToHex();
 
   EXPECT_EQ(dyn.Apply(EdgeUpdate::Insert(0, 0)).code(),
             StatusCode::kInvalidArgument);  // self loop
@@ -118,14 +141,15 @@ TEST(DynamicGraphTest, InvalidUpdatesAreRejectedAndLeaveStateUntouched) {
             StatusCode::kInvalidArgument);
 
   EXPECT_EQ(dyn.updates_applied(), 0);
-  EXPECT_EQ(dyn.Fingerprint(), before);
+  EXPECT_TRUE(dyn.graph() == base);
+  EXPECT_EQ(dyn.digest().ToHex(), before);
   ExpectMatchesFullRecompute(dyn);
 }
 
 TEST(DynamicGraphTest, ApplyAllRollsBackOnFailure) {
   Graph base = Graph::FromEdges(5, {{0, 1}, {1, 2}});
   DynamicGraph dyn(base);
-  const std::string before = dyn.Fingerprint();
+  const std::string before = dyn.digest().ToHex();
 
   // Third update is invalid (0-1 still present after the valid prefix), so
   // the first two must be rolled back.
@@ -136,7 +160,7 @@ TEST(DynamicGraphTest, ApplyAllRollsBackOnFailure) {
   EXPECT_TRUE(dyn.graph().HasEdge(0, 1));
   EXPECT_TRUE(dyn.graph().HasEdge(1, 2));
   EXPECT_FALSE(dyn.graph().HasEdge(2, 3));
-  EXPECT_EQ(dyn.Fingerprint(), before);
+  EXPECT_EQ(dyn.digest().ToHex(), before);
   // The rolled-back batch counts zero: neither the applied prefix nor the
   // inverses that undid it show up in the committed-update counter.
   EXPECT_EQ(dyn.updates_applied(), 0);
@@ -152,111 +176,65 @@ TEST(DynamicGraphTest, ApplyAllRollsBackOnFailure) {
   ExpectMatchesFullRecompute(dyn);
 }
 
-// --- warm-started centrality -------------------------------------------------
+// --- GraphDigest semantics --------------------------------------------------
 
-void ExpectCentralityAgrees(const std::vector<double>& warm,
-                            const std::vector<double>& cold) {
-  ASSERT_EQ(warm.size(), cold.size());
-  for (size_t v = 0; v < warm.size(); ++v) {
-    EXPECT_NEAR(warm[v], cold[v], 1e-8) << "vertex " << v;
-  }
-}
-
-TEST(DynamicGraphTest, WarmStartedCentralityMatchesColdRun) {
-  Rng rng(11);
-  DynamicGraph dyn(RandomGraph(rng, 20, 0.2));
-  (void)dyn.Centrality();  // converge once (cold)
-
-  int warm_total = 0, cold_total = 0;
-  for (int step = 0; step < 10; ++step) {
-    const Vertex u = static_cast<Vertex>(rng.Index(20));
-    const Vertex v = static_cast<Vertex>(rng.Index(20));
-    if (u == v) continue;
-    const EdgeUpdate update = dyn.graph().HasEdge(u, v)
-                                  ? EdgeUpdate::Remove(u, v)
-                                  : EdgeUpdate::Insert(u, v);
-    ASSERT_TRUE(dyn.Apply(update).ok());
-
-    int cold_iterations = 0;
-    CentralityOptions cold;
-    cold.iterations_used = &cold_iterations;
-    ExpectCentralityAgrees(dyn.Centrality(),
-                           EigenvectorCentrality(dyn.graph(), cold));
-    warm_total += dyn.last_centrality_iterations();
-    cold_total += cold_iterations;
-  }
-  // The warm restart is the speed lever: starting from the previous fixed
-  // point, the deltas in aggregate need no more rounds than cold runs on
-  // the same mutated graphs (a single adversarial delta may not win, so
-  // the bound is on the sum).
-  EXPECT_LE(warm_total, cold_total);
-}
-
-TEST(DynamicGraphTest, WarmStartHandlesComponentMergeAndSplit) {
-  // Two triangles — distinct components — then a bridge merges them, then
-  // removing it splits them again. Exercises the per-component warm-start
-  // renormalization on both transitions.
-  Graph base = Graph::FromEdges(
-      6, {{0, 1}, {1, 2}, {0, 2}, {3, 4}, {4, 5}, {3, 5}});
-  DynamicGraph dyn(base);
-  ExpectCentralityAgrees(dyn.Centrality(), EigenvectorCentrality(dyn.graph()));
-
-  ASSERT_TRUE(dyn.Apply(EdgeUpdate::Insert(2, 3)).ok());  // merge
-  ExpectCentralityAgrees(dyn.Centrality(), EigenvectorCentrality(dyn.graph()));
-
-  ASSERT_TRUE(dyn.Apply(EdgeUpdate::Remove(2, 3)).ok());  // split
-  ExpectCentralityAgrees(dyn.Centrality(), EigenvectorCentrality(dyn.graph()));
-}
-
-TEST(DynamicGraphTest, CentralityHandlesVertexIsolation) {
-  // Removing the last edge of a vertex zeroes its centrality; the stale
-  // positive warm-start entry must not resurrect it.
-  Graph base = Graph::FromEdges(4, {{0, 1}, {1, 2}, {2, 0}, {0, 3}});
-  DynamicGraph dyn(base);
-  (void)dyn.Centrality();
-  ASSERT_TRUE(dyn.Apply(EdgeUpdate::Remove(0, 3)).ok());
-  const std::vector<double>& warm = dyn.Centrality();
-  EXPECT_NEAR(warm[3], 0.0, 1e-12);
-  ExpectCentralityAgrees(warm, EigenvectorCentrality(dyn.graph()));
-}
-
-// --- WlHashFingerprint semantics --------------------------------------------
-
-TEST(WlHashFingerprintTest, InvariantUnderVertexPermutation) {
+TEST(GraphDigestTest, SeparatesVertexPermutations) {
+  // A renumbered copy is isomorphic but not equal: DEEPMAP breaks
+  // centrality ties by vertex id, so the two can get different logits and
+  // must not share a cache entry.
   Rng rng(21);
-  Graph g = RandomGraph(rng, 12, 0.25);
-  std::vector<Vertex> perm(12);
-  for (int v = 0; v < 12; ++v) perm[static_cast<size_t>(v)] = v;
-  for (int v = 11; v > 0; --v) {
-    std::swap(perm[static_cast<size_t>(v)],
-              perm[rng.Index(static_cast<size_t>(v) + 1)]);
+  const Graph g = RandomGraph(rng, 12, 0.25);
+  int distinct = 0;
+  for (int trial = 0; trial < 8; ++trial) {
+    std::vector<Vertex> perm(12);
+    for (int v = 0; v < 12; ++v) perm[static_cast<size_t>(v)] = v;
+    for (int v = 11; v > 0; --v) {
+      std::swap(perm[static_cast<size_t>(v)],
+                perm[rng.Index(static_cast<size_t>(v) + 1)]);
+    }
+    const Graph permuted = g.Permuted(perm);
+    if (permuted == g) continue;  // an automorphism: same graph, same key
+    ++distinct;
+    EXPECT_NE(DigestOf(permuted).ToHex(), DigestOf(g).ToHex());
   }
-  const Graph permuted = g.Permuted(perm);
-  for (int iterations : {0, 1, 2, 3}) {
-    EXPECT_EQ(WlHashFingerprint(g, iterations),
-              WlHashFingerprint(permuted, iterations));
+  EXPECT_GT(distinct, 0);
+
+  // Equal graphs share a digest whatever order they were built in.
+  const std::vector<std::pair<Vertex, Vertex>> edges = g.EdgeList();
+  std::vector<std::pair<Vertex, Vertex>> reversed;
+  for (auto it = edges.rbegin(); it != edges.rend(); ++it) {
+    reversed.emplace_back(it->second, it->first);
   }
+  const Graph rebuilt = Graph::FromEdges(12, reversed, g.Labels());
+  EXPECT_EQ(DigestOf(rebuilt).ToHex(), DigestOf(g).ToHex());
 }
 
-TEST(WlHashFingerprintTest, SeparatesGraphsWlCanSeparate) {
+TEST(GraphDigestTest, SeparatesGraphsWlCanSeparate) {
   const Graph path = Graph::FromEdges(4, {{0, 1}, {1, 2}, {2, 3}});
   const Graph star = Graph::FromEdges(4, {{0, 1}, {0, 2}, {0, 3}});
-  EXPECT_NE(WlHashFingerprint(path, 2), WlHashFingerprint(star, 2));
+  EXPECT_NE(DigestOf(path).ToHex(), DigestOf(star).ToHex());
+
+  // A single label change is a different graph.
+  Graph relabeled = path;
+  relabeled.SetLabel(2, 1);
+  EXPECT_NE(DigestOf(relabeled).ToHex(), DigestOf(path).ToHex());
+
+  // So is an extra isolated vertex.
+  Graph grown = path;
+  grown.AddVertex();
+  EXPECT_NE(DigestOf(grown).ToHex(), DigestOf(path).ToHex());
 }
 
-TEST(WlHashFingerprintTest, CollidesOnWlEquivalentGraphs) {
-  // C6 vs two triangles: the classic 1-WL-equivalent pair. Same vertex
-  // count, same edge count, every vertex 2-regular with identical labels —
-  // WL (any depth) cannot separate them, so the fingerprints MUST collide.
-  // This documents the intended cache semantics, not a weakness.
+TEST(GraphDigestTest, SeparatesWlEquivalentPair) {
+  // C6 vs two triangles: the classic 1-WL-equivalent pair (same vertex and
+  // edge count, every vertex 2-regular with identical labels). WL at any
+  // depth cannot separate them, but their receptive fields differ, so the
+  // digest must.
   const Graph c6 = Graph::FromEdges(
       6, {{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 0}});
   const Graph triangles = Graph::FromEdges(
       6, {{0, 1}, {1, 2}, {2, 0}, {3, 4}, {4, 5}, {5, 3}});
-  for (int iterations : {1, 2, 4}) {
-    EXPECT_EQ(WlHashFingerprint(c6, iterations),
-              WlHashFingerprint(triangles, iterations));
-  }
+  EXPECT_NE(DigestOf(c6).ToHex(), DigestOf(triangles).ToHex());
 }
 
 }  // namespace

@@ -1,8 +1,9 @@
 // Dynamic-graph serving: ClassifyDelta must answer with logits bit-identical
-// to a fresh Classify of the mutated graph, invalidate exactly the stale
+// to a fresh Classify of the mutated graph, erase exactly the pre-delta
 // cache entry (unrelated entries survive), hit the cache on a revert, and
-// account every delta in the deepmap_serve_dynamic_* counters. Covers both
-// the single InferenceEngine and the ServeCluster front ends.
+// account every delta in the deepmap_serve_dynamic_* counters; the store's
+// incrementally maintained key must always equal KeyFor of its snapshot.
+// Covers both the single InferenceEngine and the ServeCluster front ends.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -11,6 +12,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/rng.h"
 #include "core/deepmap.h"
 #include "datasets/registry.h"
 #include "graph/dynamic_graph.h"
@@ -20,6 +22,7 @@
 #include "serve/cluster.h"
 #include "serve/dynamic_graphs.h"
 #include "serve/engine.h"
+#include "serve/prediction_cache.h"
 
 namespace deepmap {
 namespace {
@@ -136,7 +139,7 @@ TEST(DynamicServeTest, ExactInvalidationPreservesUnrelatedEntries) {
   // is inserted, and every unrelated entry survives (previously the serving
   // layer would Clear() the whole cache on any mutation).
   ASSERT_TRUE(engine.ClassifyDelta("g", {EdgeUpdate::Insert(0, 2)}).ok());
-  EXPECT_EQ(engine.cache().size(), warmed);  // -1 stale +1 fresh
+  EXPECT_EQ(engine.cache().size(), warmed);  // -1 pre-delta +1 fresh
 
   // The unrelated graphs are still hits.
   const int64_t hits_before = engine.cache().hits();
@@ -158,7 +161,7 @@ TEST(DynamicServeTest, DeltaThenRevertIsIncrementalHit) {
 
   // Warm the current structure, then apply a delta whose net effect is the
   // identity (insert + revert in one atomic batch): the pre- and post-delta
-  // fingerprints coincide, so nothing is invalidated and the answer is an
+  // keys coincide, so nothing is invalidated and the answer is an
   // incremental cache hit — no forward pass.
   ASSERT_TRUE(engine.Classify(BaseGraph()).ok());
   ASSERT_TRUE(engine
@@ -229,6 +232,59 @@ TEST(DynamicServeTest, StoreDeltasRaceUnregisterSafely) {
   done.store(true);
   for (auto& w : workers) w.join();
   EXPECT_EQ(store.size(), 0u);
+}
+
+TEST(DynamicServeTest, StoreKeyEqualsKeyForSnapshotUnderRandomDeltas) {
+  // The store's per-edge key update must never drift from a from-scratch
+  // KeyFor of the graph it describes: random delta batches over several
+  // registered graphs, a third of them ending in an invalid update so the
+  // whole batch rolls back.
+  serve::DynamicGraphStore store(2);
+  Rng rng(0xde17a);
+  const std::vector<std::string> ids = {"a", "b", "c"};
+  for (const std::string& id : ids) {
+    ASSERT_TRUE(store.Register(id, BaseGraph()).ok());
+  }
+  for (int step = 0; step < 300; ++step) {
+    const std::string& id = ids[rng.Index(ids.size())];
+    graph::Graph shadow = store.Snapshot(id).value();
+    const std::string before = store.CacheKey(id).value();
+    ASSERT_EQ(before, serve::PredictionCache::KeyFor(shadow, 2));
+
+    std::vector<EdgeUpdate> batch;
+    const int size = static_cast<int>(rng.Index(4));  // empty batches too
+    for (int i = 0; i < size; ++i) {
+      graph::Vertex u = 0, v = 0;
+      while (u == v) {
+        u = static_cast<graph::Vertex>(rng.Index(5));
+        v = static_cast<graph::Vertex>(rng.Index(5));
+      }
+      if (shadow.HasEdge(u, v)) {
+        shadow.RemoveEdge(u, v);
+        batch.push_back(EdgeUpdate::Remove(u, v));
+      } else {
+        shadow.AddEdge(u, v);
+        batch.push_back(EdgeUpdate::Insert(u, v));
+      }
+    }
+    const bool poisoned = rng.Index(3) == 0;
+    if (poisoned) batch.push_back(EdgeUpdate::Insert(0, 5));  // out of range
+
+    StatusOr<serve::DeltaResult> delta = store.ApplyDelta(id, batch);
+    if (poisoned) {
+      ASSERT_EQ(delta.status().code(), StatusCode::kInvalidArgument);
+      EXPECT_EQ(store.CacheKey(id).value(), before);
+    } else {
+      ASSERT_TRUE(delta.ok()) << delta.status().ToString();
+      EXPECT_EQ(delta.value().old_key, before);
+      EXPECT_EQ(delta.value().new_key,
+                serve::PredictionCache::KeyFor(shadow, 2));
+      EXPECT_TRUE(delta.value().graph == shadow);
+    }
+    const graph::Graph snapshot = store.Snapshot(id).value();
+    EXPECT_EQ(store.CacheKey(id).value(),
+              serve::PredictionCache::KeyFor(snapshot, 2));
+  }
 }
 
 TEST(DynamicServeTest, ClusterClassifyDeltaMatchesEngine) {

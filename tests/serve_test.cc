@@ -3,6 +3,7 @@
 // accounting, and served-vs-offline prediction equivalence.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
@@ -11,14 +12,16 @@
 #include <mutex>
 #include <sstream>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "common/failpoint.h"
+#include "common/rng.h"
 #include "core/deepmap.h"
 #include "datasets/registry.h"
+#include "kernels/wl.h"
 #include "nn/model.h"
 #include "nn/serialization.h"
+#include "serve/cluster.h"
 #include "serve/engine.h"
 
 namespace deepmap {
@@ -30,6 +33,7 @@ using serve::InferenceEngine;
 using serve::MicroBatcher;
 using serve::Prediction;
 using serve::PredictionCache;
+using serve::ServeCluster;
 using serve::ServeRequest;
 
 Prediction MakePrediction(int label) {
@@ -105,19 +109,6 @@ TEST(PredictionCacheTest, ShardCountClampsToCapacity) {
   EXPECT_EQ(disabled.num_shards(), 1u);
   disabled.Insert("A", MakePrediction(0));
   EXPECT_EQ(disabled.size(), 0u);
-}
-
-TEST(PredictionCacheTest, IsomorphicGraphsShareKey) {
-  graph::Graph path = graph::Graph::FromEdges(4, {{0, 1}, {1, 2}, {2, 3}});
-  // The same path with vertices renamed.
-  graph::Graph renamed = path.Permuted({3, 1, 0, 2});
-  graph::Graph triangle =
-      graph::Graph::FromEdges(4, {{0, 1}, {1, 2}, {2, 0}});
-
-  EXPECT_EQ(PredictionCache::KeyFor(path, 2),
-            PredictionCache::KeyFor(renamed, 2));
-  EXPECT_NE(PredictionCache::KeyFor(path, 2),
-            PredictionCache::KeyFor(triangle, 2));
 }
 
 TEST(PredictionCacheTest, ShardedCacheRoutesKeysAndCountsPerShard) {
@@ -745,6 +736,127 @@ TEST(InferenceEngineTest, WarmCacheHitSkipsPreprocessing) {
   EXPECT_EQ(engine.cache().hits(), 1);
 }
 
+// ---------------------------------------------------------------------------
+// Cache-key soundness: the key may only merge graphs the model answers
+// identically.
+
+/// The former cache key's equivalence class: |V|, |E| and the multiset of
+/// 2-round WL colors (a shared-dictionary refinery, so colors compare across
+/// graphs). Graphs with equal classes shared one cache entry under the old
+/// "n:m:<2-round WL hash>" key.
+std::vector<int64_t> FormerKeyClass(kernels::WlRefinement& wl,
+                                    const graph::Graph& g) {
+  std::vector<int64_t> colors = wl.Refine(g).back();
+  std::sort(colors.begin(), colors.end());
+  colors.insert(colors.begin(), {g.NumVertices(), g.NumEdges()});
+  return colors;
+}
+
+/// Label plus probability bytes of a prediction.
+std::string AnswerBytes(const Prediction& p) {
+  std::string bytes(reinterpret_cast<const char*>(&p.label), sizeof(p.label));
+  bytes.append(reinterpret_cast<const char*>(p.probabilities.data()),
+               p.probabilities.size() * sizeof(float));
+  return bytes;
+}
+
+/// Bytes of a fresh Predict(Preprocess(g)). A WL color id never changes
+/// once assigned, so the answer does not depend on what was preprocessed
+/// before.
+std::string FreshAnswerBytes(serve::ServableModel& servable,
+                             const graph::Graph& g) {
+  StatusOr<nn::Tensor> input = servable.preprocessor().Preprocess(g);
+  DEEPMAP_CHECK(input.ok());
+  ForwardScratch scratch;
+  return AnswerBytes(servable.compiled().Predict(input.value(), &scratch));
+}
+
+TEST(PredictionCacheTest, FormerKeyCollisionsGetTheirOwnAnswers) {
+  TrainedBundle& b = Bundle();
+  graph::Label alphabet = 1;
+  for (const graph::Graph& g : b.dataset.graphs()) {
+    alphabet = std::max(alphabet, g.LabelAlphabetSize());
+  }
+
+  // Seeded search for pairs the former WL-hash key merged although the
+  // model answers them differently: small labelled graphs against vertex
+  // renumberings of themselves (DEEPMAP breaks centrality ties by vertex
+  // id), plus the WL-equivalent, non-isomorphic C6 / two-triangles pair.
+  kernels::WlConfig wl_config;
+  wl_config.iterations = 2;
+  kernels::WlRefinement wl(wl_config);
+  std::vector<std::pair<graph::Graph, graph::Graph>> pairs;
+  auto consider = [&](const graph::Graph& first, const graph::Graph& second) {
+    ASSERT_EQ(FormerKeyClass(wl, first), FormerKeyClass(wl, second));
+    if (FreshAnswerBytes(*b.servable, first) !=
+        FreshAnswerBytes(*b.servable, second)) {
+      pairs.emplace_back(first, second);
+    }
+  };
+  Rng rng(0x5eed);
+  int permutation_pairs = 0;
+  for (int trial = 0; trial < 40; ++trial) {
+    const int n = 5 + static_cast<int>(rng.Index(6));
+    graph::Graph g;
+    for (int v = 0; v < n; ++v) {
+      g.AddVertex(
+          static_cast<graph::Label>(rng.Index(static_cast<size_t>(alphabet))));
+    }
+    for (int v = 1; v < n; ++v) {  // a random tree keeps g connected
+      g.AddEdge(v, static_cast<graph::Vertex>(rng.Index(v)));
+    }
+    for (int extra = 0; extra < n / 2; ++extra) {
+      g.AddEdge(static_cast<graph::Vertex>(rng.Index(n)),
+                static_cast<graph::Vertex>(rng.Index(n)));
+    }
+    std::vector<graph::Vertex> perm(static_cast<size_t>(n));
+    for (int v = 0; v < n; ++v) perm[static_cast<size_t>(v)] = v;
+    for (int v = n - 1; v > 0; --v) {
+      std::swap(perm[static_cast<size_t>(v)],
+                perm[rng.Index(static_cast<size_t>(v) + 1)]);
+    }
+    const size_t before = pairs.size();
+    consider(g, g.Permuted(perm));
+    permutation_pairs += static_cast<int>(pairs.size() - before);
+  }
+  const graph::Graph c6 = graph::Graph::FromEdges(
+      6, {{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 0}});
+  const graph::Graph triangles = graph::Graph::FromEdges(
+      6, {{0, 1}, {1, 2}, {2, 0}, {3, 4}, {4, 5}, {5, 3}});
+  const size_t before_regular = pairs.size();
+  consider(c6, triangles);
+  // The search must find both kinds, or it proves nothing.
+  EXPECT_GT(permutation_pairs, 0);
+  EXPECT_EQ(pairs.size(), before_regular + 1)
+      << "C6 and two triangles got identical answers";
+
+  // A cache-on cluster must answer the second graph of every pair with its
+  // own fresh bytes, not the cached answer of the first.
+  ServeCluster::Options options;
+  options.num_replicas = 2;
+  options.cache_capacity = 4 * pairs.size();
+  options.replica.num_threads = 1;
+  ServeCluster cluster(b.servable, options);
+  for (const auto& [first, second] : pairs) {
+    StatusOr<Prediction> a = cluster.Submit(first).get();
+    ASSERT_TRUE(a.ok()) << a.status().ToString();
+    EXPECT_EQ(AnswerBytes(a.value()), FreshAnswerBytes(*b.servable, first));
+    StatusOr<Prediction> c = cluster.Submit(second).get();
+    ASSERT_TRUE(c.ok()) << c.status().ToString();
+    EXPECT_EQ(AnswerBytes(c.value()), FreshAnswerBytes(*b.servable, second))
+        << "second graph answered from the first graph's cache entry";
+  }
+  // Exact keys still hit: resubmitting each second graph is answered from
+  // its own entry.
+  for (const auto& [first, second] : pairs) {
+    StatusOr<Prediction> again = cluster.Submit(second).get();
+    ASSERT_TRUE(again.ok());
+    EXPECT_EQ(AnswerBytes(again.value()),
+              FreshAnswerBytes(*b.servable, second));
+  }
+  EXPECT_EQ(cluster.cache().hits(), static_cast<int64_t>(pairs.size()));
+}
+
 TEST(InferenceEngineTest, RejectsUnservableGraphs) {
   TrainedBundle& b = Bundle();
   InferenceEngine::Options options;
@@ -769,27 +881,16 @@ TEST(InferenceEngineTest, ConcurrentSubmittersGetConsistentAnswers) {
   options.batcher.max_wait_us = 300;
   InferenceEngine engine(b.servable, options);
 
-  // The cache serves every graph with the same WL hash from one entry, so
-  // restrict the stream to one representative per key: each representative's
-  // cached prediction is then its own, and must match the offline path.
-  std::vector<int> representatives;
+  // Cache keys are exact, so every graph's cached prediction is its own and
+  // must match the offline path on every round.
   std::vector<int> expected;
-  {
-    std::unordered_map<std::string, int> seen;
-    for (int i = 0; i < b.dataset.size(); ++i) {
-      std::string key = PredictionCache::KeyFor(
-          b.dataset.graph(i), options.cache_wl_iterations);
-      if (seen.emplace(std::move(key), i).second) {
-        representatives.push_back(i);
-        expected.push_back(nn::Predict(*b.model, b.pipeline->inputs()[i]));
-      }
-    }
+  for (int i = 0; i < b.dataset.size(); ++i) {
+    expected.push_back(nn::Predict(*b.model, b.pipeline->inputs()[i]));
   }
-  ASSERT_GE(representatives.size(), 4u);
 
   constexpr int kThreads = 4;
   constexpr int kRounds = 3;
-  const int n = static_cast<int>(representatives.size());
+  const int n = b.dataset.size();
   std::atomic<int> mismatches{0};
   std::atomic<int> failures{0};
   std::vector<std::thread> threads;
@@ -798,8 +899,7 @@ TEST(InferenceEngineTest, ConcurrentSubmittersGetConsistentAnswers) {
       for (int round = 0; round < kRounds; ++round) {
         for (int i = t; i < n; i += kThreads) {
           const size_t idx = static_cast<size_t>(i);
-          StatusOr<Prediction> served =
-              engine.Classify(b.dataset.graph(representatives[idx]));
+          StatusOr<Prediction> served = engine.Classify(b.dataset.graph(i));
           if (!served.ok()) {
             ++failures;
           } else if (served.value().label != expected[idx]) {
