@@ -68,14 +68,17 @@ std::vector<double> Vocabulary::Densify(const SparseFeatureMap& map) const {
   return dense;
 }
 
+size_t HashedColumn(FeatureId id, size_t dim) {
+  // Multiplicative mixing before the modulo so that ids that share low bits
+  // (packed triplets) spread across columns.
+  return static_cast<size_t>((id * 0x9E3779B97F4A7C15ull) % dim);
+}
+
 std::vector<double> DensifyHashed(const SparseFeatureMap& map, size_t dim) {
   DEEPMAP_CHECK_GT(dim, 0u);
   std::vector<double> dense(dim, 0.0);
   for (const auto& [id, count] : map.entries()) {
-    // Multiplicative mixing before the modulo so that ids that share low
-    // bits (packed triplets) spread across columns.
-    uint64_t mixed = id * 0x9E3779B97F4A7C15ull;
-    dense[mixed % dim] += count;
+    dense[HashedColumn(id, dim)] += count;
   }
   return dense;
 }

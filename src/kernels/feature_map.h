@@ -79,7 +79,10 @@ class Vocabulary {
   std::map<FeatureId, int64_t> columns_;
 };
 
-/// Dense vector of length `dim` via modulo feature hashing (id % dim).
+/// Column of `id` under modulo feature hashing to `dim` columns.
+size_t HashedColumn(FeatureId id, size_t dim);
+
+/// Dense vector of length `dim` via modulo feature hashing (HashedColumn).
 /// Collisions add; used to bound CNN input width when vocabularies are huge.
 std::vector<double> DensifyHashed(const SparseFeatureMap& map, size_t dim);
 

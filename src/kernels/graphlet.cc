@@ -1,6 +1,7 @@
 #include "kernels/graphlet.h"
 
 #include <algorithm>
+#include <mutex>
 #include <set>
 
 #include "common/check.h"
@@ -92,9 +93,12 @@ const GraphletCatalog& GetGraphletCatalog(int k) {
   DEEPMAP_CHECK_GE(k, 2);
   DEEPMAP_CHECK_LE(k, 5);
   // Never-destroyed singletons (static storage must be trivially
-  // destructible; the catalog is immutable after construction).
+  // destructible; the catalog is immutable after construction). call_once
+  // builds each exactly once even when concurrent preprocessing threads
+  // race to it.
+  static std::once_flag once[6];
   static const GraphletCatalog* catalogs[6] = {nullptr};
-  if (catalogs[k] == nullptr) catalogs[k] = new GraphletCatalog(k);
+  std::call_once(once[k], [k] { catalogs[k] = new GraphletCatalog(k); });
   return *catalogs[k];
 }
 

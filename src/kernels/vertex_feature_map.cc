@@ -1,5 +1,6 @@
 #include "kernels/vertex_feature_map.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/check.h"
@@ -40,9 +41,11 @@ DatasetVertexFeatures::DatasetVertexFeatures(
     int64_t num_rows = 0;
     for (size_t g = 0; g < features_.size(); ++g) {
       for (size_t v = 0; v < features_[g].size(); ++v) {
-        std::vector<double> row =
-            DenseRow(static_cast<int>(g), static_cast<int>(v));
-        for (int c = 0; c < dim_; ++c) sum_squares[c] += row[c] * row[c];
+        // Zero columns would add +0.0 to a nonnegative sum: skipping them
+        // leaves every sum bit-identical.
+        for (const RowEntry& e : SparseRow(features_[g][v])) {
+          sum_squares[static_cast<size_t>(e.col)] += e.value * e.value;
+        }
         ++num_rows;
       }
     }
@@ -76,20 +79,49 @@ std::vector<double> DatasetVertexFeatures::DenseRow(int g, int v) const {
   return DensifyRow(Get(g, v));
 }
 
+std::vector<RowEntry> DatasetVertexFeatures::SparseRow(
+    const SparseFeatureMap& map) const {
+  std::vector<RowEntry> row;
+  row.reserve(map.NumNonZero());
+  for (const auto& [id, count] : map.entries()) {
+    const int64_t col =
+        uses_hashing_
+            ? static_cast<int64_t>(HashedColumn(id, static_cast<size_t>(dim_)))
+            : vocabulary_.ColumnOf(id);
+    if (col >= 0) row.push_back({static_cast<int32_t>(col), count});
+  }
+  // Stable, so ids sharing a hash bucket keep their id order and each
+  // column's sum is the dense path's chain 0.0 + c_1 + c_2 + ...
+  std::stable_sort(row.begin(), row.end(),
+                   [](const RowEntry& a, const RowEntry& b) {
+                     return a.col < b.col;
+                   });
+  size_t out = 0;
+  for (size_t i = 0; i < row.size(); ++i) {
+    if (out > 0 && row[out - 1].col == row[i].col) {
+      row[out - 1].value += row[i].value;
+    } else {
+      row[out++] = {row[i].col, 0.0 + row[i].value};
+    }
+  }
+  row.resize(out);
+  size_t kept = 0;
+  for (RowEntry& e : row) {
+    if (log_scale_dense_) e.value = std::log1p(e.value);
+    if (!column_scale_.empty()) {
+      e.value *= column_scale_[static_cast<size_t>(e.col)];
+    }
+    if (e.value != 0.0) row[kept++] = e;
+  }
+  row.resize(kept);
+  return row;
+}
+
 std::vector<double> DatasetVertexFeatures::DensifyRow(
     const SparseFeatureMap& map) const {
-  std::vector<double> dense;
-  if (uses_hashing_) {
-    dense = DensifyHashed(map, static_cast<size_t>(dim_));
-  } else {
-    dense = vocabulary_.Densify(map);
-    dense.resize(static_cast<size_t>(dim_), 0.0);
-  }
-  if (log_scale_dense_) {
-    for (double& x : dense) x = std::log1p(x);
-  }
-  if (!column_scale_.empty()) {
-    for (int c = 0; c < dim_; ++c) dense[c] *= column_scale_[c];
+  std::vector<double> dense(static_cast<size_t>(dim_), 0.0);
+  for (const RowEntry& e : SparseRow(map)) {
+    dense[static_cast<size_t>(e.col)] = e.value;
   }
   return dense;
 }

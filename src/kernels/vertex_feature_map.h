@@ -57,6 +57,12 @@ struct VertexFeatureConfig {
   uint64_t seed = 42;
 };
 
+/// One nonzero of a densified vertex row.
+struct RowEntry {
+  int32_t col = 0;
+  double value = 0.0;
+};
+
 /// Vertex feature maps for a whole dataset plus the densification scheme.
 class DatasetVertexFeatures {
  public:
@@ -81,13 +87,24 @@ class DatasetVertexFeatures {
 
   bool uses_hashing() const { return uses_hashing_; }
 
+  /// Per-column factors applied after log scaling (empty when
+  /// normalization is off).
+  const std::vector<double>& column_scale() const { return column_scale_; }
+
   /// Dense vector of length dim() for vertex v of graph g.
   std::vector<double> DenseRow(int g, int v) const;
 
-  /// Densifies an arbitrary sparse map with this dataset's scheme: training
-  /// vocabulary (or feature hashing), log scaling, and the training-time
-  /// column scales. Ids unseen at training time are dropped (or hashed).
-  /// This is what serving-time preprocessing uses for request graphs.
+  /// Nonzero entries of DensifyRow(map), by ascending column: the training
+  /// vocabulary lookup (ids unseen at training time are dropped) or the
+  /// hash-bucket merge, then log scaling and the training-time column
+  /// scales, applied to the nonzeros only. Colliding ids are summed in id
+  /// order and every value takes the same double operations as the dense
+  /// path, so each entry is bit-equal to its DensifyRow column (counts are
+  /// nonnegative, so a dropped entry is exactly +0.0 there). This is what
+  /// serving-time preprocessing uses for request graphs.
+  std::vector<RowEntry> SparseRow(const SparseFeatureMap& map) const;
+
+  /// SparseRow(map) scattered into a zero vector of length dim().
   std::vector<double> DensifyRow(const SparseFeatureMap& map) const;
 
   /// Graph-level feature map of graph g (Eq. 7 sum over vertices).

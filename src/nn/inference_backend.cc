@@ -19,15 +19,29 @@ void InferenceBackend::Relu(float* x, int n) const {
 
 namespace {
 
-/// Plain row-major fp32 copy of the weight matrix.
+/// fp32 copy of the weight matrix, row-major (Pack) or column-major
+/// (PackSparse).
 class Fp32Packed final : public PackedWeights {
  public:
-  Fp32Packed(const Tensor& w)
+  Fp32Packed(const Tensor& w, bool column_major)
       : PackedWeights(w.dim(0), w.dim(1)),
-        data_(w.data(), w.data() + w.NumElements()) {}
+        data_(w.data(), w.data() + w.NumElements()) {
+    if (!column_major) return;
+    for (int o = 0; o < rows(); ++o) {
+      for (int c = 0; c < cols(); ++c) {
+        data_[static_cast<size_t>(c) * rows() + o] =
+            w.data()[static_cast<size_t>(o) * cols() + c];
+      }
+    }
+  }
 
+  /// Row o of a row-major pack.
   const float* row(int o) const {
     return data_.data() + static_cast<size_t>(o) * cols();
+  }
+  /// Column c of a column-major pack.
+  const float* column(int c) const {
+    return data_.data() + static_cast<size_t>(c) * rows();
   }
   size_t MemoryBytes() const override { return data_.size() * sizeof(float); }
 
@@ -39,17 +53,28 @@ class Fp32Packed final : public PackedWeights {
 
 std::unique_ptr<PackedWeights> Fp32RefBackend::Pack(const Tensor& w) const {
   DEEPMAP_CHECK_EQ(w.rank(), 2);
-  return std::make_unique<Fp32Packed>(w);
+  return std::make_unique<Fp32Packed>(w, /*column_major=*/false);
 }
 
-void Fp32RefBackend::AccumulateDot(const PackedWeights& w, int col0, int cols,
-                                   const float* x, float* y) const {
+std::unique_ptr<PackedWeights> Fp32RefBackend::PackSparse(
+    const Tensor& w) const {
+  DEEPMAP_CHECK_EQ(w.rank(), 2);
+  return std::make_unique<Fp32Packed>(w, /*column_major=*/true);
+}
+
+void Fp32RefBackend::AccumulateSparse(const PackedWeights& w, int col0,
+                                      const int32_t* cols, const float* vals,
+                                      int nnz, float* y) const {
   const auto& p = static_cast<const Fp32Packed&>(w);
-  for (int o = 0; o < p.rows(); ++o) {
-    const float* wo = p.row(o) + col0;
-    float sum = y[o];
-    for (int c = 0; c < cols; ++c) sum += wo[c] * x[c];
-    y[o] = sum;
+  const int rows = p.rows();
+  // Term k is added to every output before term k + 1, so each output's
+  // chain runs in ascending k; the outputs are independent chains, and the
+  // contiguous o loop vectorizes without reassociating any of them.
+  for (int k = 0; k < nnz; ++k) {
+    const float* __restrict wc = p.column(col0 + cols[k]);
+    const float x = vals[k];
+    float* __restrict out = y;
+    for (int o = 0; o < rows; ++o) out[o] += wc[o] * x;
   }
 }
 

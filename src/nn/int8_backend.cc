@@ -2,6 +2,7 @@
 
 #include <immintrin.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <vector>
@@ -11,14 +12,16 @@
 namespace deepmap::nn {
 namespace {
 
-/// Row-major quantized weights plus one symmetric fp32 scale per output row.
-/// Values are int8-range ([-127, 127]) but stored widened to int16 so the
-/// AVX2 kernel feeds madd_epi16 straight from 32-byte loads with no
-/// sign-extension step in the hot loop — trading 2 bytes/weight (still 2x
-/// smaller than fp32) for a meaningfully shorter inner loop.
+/// Quantized weights plus one symmetric fp32 scale per output row, stored
+/// row-major (Pack) or column-major (PackSparse). Values are int8-range
+/// ([-127, 127]) but stored widened to int16 so the AVX2 kernel feeds
+/// madd_epi16 straight from 32-byte loads with no sign-extension step in the
+/// hot loop — trading 2 bytes/weight (still 2x smaller than fp32) for a
+/// meaningfully shorter inner loop.
 class Int8Packed final : public PackedWeights {
  public:
-  Int8Packed(const Tensor& w) : PackedWeights(w.dim(0), w.dim(1)) {
+  Int8Packed(const Tensor& w, bool column_major)
+      : PackedWeights(w.dim(0), w.dim(1)) {
     const int rows = this->rows();
     const int cols = this->cols();
     // 16 lanes of zeroed slack let the AVX2 kernel read one full vector past
@@ -49,6 +52,15 @@ class Int8Packed final : public PackedWeights {
         if (v > 127) v = 127;
         if (v < -127) v = -127;
         qo[c] = static_cast<int16_t>(v);
+      }
+    }
+    if (column_major) {
+      const std::vector<int16_t> row_major = q_;
+      for (int o = 0; o < rows; ++o) {
+        for (int c = 0; c < cols; ++c) {
+          q_[static_cast<size_t>(c) * rows + o] =
+              row_major[static_cast<size_t>(o) * cols + c];
+        }
       }
     }
   }
@@ -104,6 +116,13 @@ int16_t* ActivationScratch(int n) {
   if (static_cast<int>(buf.size()) < want) {
     buf.resize(static_cast<size_t>(want));
   }
+  return buf.data();
+}
+
+/// Per-thread int32 accumulators for the sparse conv1 kernel.
+int32_t* AccumulatorScratch(int n) {
+  static thread_local std::vector<int32_t> buf;
+  if (static_cast<int>(buf.size()) < n) buf.resize(static_cast<size_t>(n));
   return buf.data();
 }
 
@@ -285,17 +304,38 @@ Int8Backend::Int8Backend(bool force_scalar) {
 
 std::unique_ptr<PackedWeights> Int8Backend::Pack(const Tensor& w) const {
   DEEPMAP_CHECK_EQ(w.rank(), 2);
-  return std::make_unique<Int8Packed>(w);
+  return std::make_unique<Int8Packed>(w, /*column_major=*/false);
 }
 
-void Int8Backend::AccumulateDot(const PackedWeights& w, int col0, int cols,
-                                const float* x, float* y) const {
+std::unique_ptr<PackedWeights> Int8Backend::PackSparse(const Tensor& w) const {
+  DEEPMAP_CHECK_EQ(w.rank(), 2);
+  return std::make_unique<Int8Packed>(w, /*column_major=*/true);
+}
+
+void Int8Backend::AccumulateSparse(const PackedWeights& w, int col0,
+                                   const int32_t* cols, const float* vals,
+                                   int nnz, float* y) const {
+  // The activation scale is max|x| over the given values; zero inputs can
+  // neither raise it nor add to the exact int32 dots, so quantizing only a
+  // row's nonzeros yields the same scale, sums and fp32 epilogue as
+  // quantizing any dense window that holds them.
   const auto& p = static_cast<const Int8Packed&>(w);
-  int16_t* qx = ActivationScratch(cols);
-  const float sx = quantize_(x, cols, qx);
-  if (sx == 0.0f) return;  // zero window contributes nothing
-  mat_vec_(p.data() + col0, static_cast<size_t>(p.cols()), p.rows(), qx, cols,
-           p.scales(), sx, /*bias=*/nullptr, y);
+  int16_t* qx = ActivationScratch(nnz);
+  const float sx = quantize_(vals, nnz, qx);
+  if (sx == 0.0f) return;  // all-zero values contribute nothing
+  const int rows = p.rows();
+  int32_t* acc = AccumulatorScratch(rows);
+  std::fill(acc, acc + rows, 0);
+  for (int k = 0; k < nnz; ++k) {
+    const int16_t* wc = p.data() + static_cast<size_t>(col0 + cols[k]) * rows;
+    const int32_t q = qx[k];
+    for (int o = 0; o < rows; ++o) acc[o] += static_cast<int32_t>(wc[o]) * q;
+  }
+  // The mat-vec kernels' epilogue, element for element.
+  const float* scales = p.scales();
+  for (int o = 0; o < rows; ++o) {
+    y[o] = y[o] + (scales[o] * sx) * static_cast<float>(acc[o]);
+  }
 }
 
 void Int8Backend::ConvForward(const PackedWeights& w, const float* bias,

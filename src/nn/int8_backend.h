@@ -12,9 +12,13 @@
 //     y[o] (+|=) (s_o * s_x) * acc [+ bias[o]].
 // The integer dot is exact in either kernel, and the epilogue is shared
 // scalar code, so the scalar and AVX2 paths produce bit-identical floats;
-// only wall time differs. CPU dispatch happens once at construction via
-// __builtin_cpu_supports — the AVX2 kernel is gated per-function with a
-// target attribute so this file still builds and runs on plain x86-64.
+// only wall time differs. Conv1's sparse entry (AccumulateSparse) reads a
+// column-major pack of the same quantized weights and quantizes just the
+// row's nonzeros: zeros neither raise max|x| nor add to an int32 dot, so it
+// reproduces a dense window's result bit for bit. CPU dispatch happens once
+// at construction via __builtin_cpu_supports — the AVX2 kernel is gated
+// per-function with a target attribute so this file still builds and runs
+// on plain x86-64.
 //
 // Accuracy: quantization error is bounded but real. Serving callers select
 // this backend through serve::ModelRegistry, whose calibration guardrail
@@ -43,8 +47,11 @@ class Int8Backend final : public InferenceBackend {
 
   const char* name() const override { return "int8"; }
   std::unique_ptr<PackedWeights> Pack(const Tensor& weights) const override;
-  void AccumulateDot(const PackedWeights& w, int col0, int cols,
-                     const float* x, float* y) const override;
+  std::unique_ptr<PackedWeights> PackSparse(
+      const Tensor& weights) const override;
+  void AccumulateSparse(const PackedWeights& w, int col0, const int32_t* cols,
+                        const float* vals, int nnz,
+                        float* y) const override;
   void ConvForward(const PackedWeights& w, const float* bias, const float* x,
                    float* y) const override;
   void DenseForward(const PackedWeights& w, const float* bias, const float* x,

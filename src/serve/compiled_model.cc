@@ -5,14 +5,6 @@
 namespace deepmap::serve {
 namespace {
 
-/// Index of the first nonzero entry, or -1 when the row is all zeros.
-inline int FirstNonZero(const float* row, int m) {
-  for (int c = 0; c < m; ++c) {
-    if (row[c] != 0.0f) return c;
-  }
-  return -1;
-}
-
 Status ShapeError(const char* name, const nn::Tensor& got,
                   const std::vector<int>& want) {
   std::string msg = "compiled-model parameter '";
@@ -85,7 +77,9 @@ StatusOr<CompiledModel> CompiledModel::Compile(
         !s.ok()) {
       return s;
     }
-    if (slots[i].packed != nullptr) {
+    if (slots[i].packed == &cm.conv1_p_) {
+      *slots[i].packed = cm.backend_->PackSparse(*params[i].value);
+    } else if (slots[i].packed != nullptr) {
       *slots[i].packed = cm.backend_->Pack(*params[i].value);
     } else {
       *slots[i].bias = *params[i].value;
@@ -115,12 +109,12 @@ size_t CompiledModel::PackedWeightBytes() const {
          dense2_p_->MemoryBytes();
 }
 
-void CompiledModel::ForwardInto(const nn::Tensor& input,
-                                ForwardScratch* scratch) const {
-  DEEPMAP_CHECK_EQ(input.rank(), 2);
-  DEEPMAP_CHECK_EQ(input.dim(0), w_ * r_);
-  DEEPMAP_CHECK_EQ(input.dim(1), m_);
-  const float* x = input.data();
+void CompiledModel::Forward(const SparseInput& input,
+                            ForwardScratch* scratch) const {
+  DEEPMAP_CHECK_EQ(input.w, w_);
+  DEEPMAP_CHECK_EQ(input.r, r_);
+  DEEPMAP_CHECK_EQ(input.m, m_);
+  DEEPMAP_CHECK_EQ(input.field.size(), static_cast<size_t>(w_) * r_);
   const nn::InferenceBackend& be = *backend_;
   const bool concat = readout_ == core::ReadoutKind::kConcat;
   scratch->readout.assign(static_cast<size_t>(readout_dim_), 0.0f);
@@ -129,23 +123,26 @@ void CompiledModel::ForwardInto(const nn::Tensor& input,
   scratch->h3.resize(static_cast<size_t>(c3_));
 
   for (int s = 0; s < w_; ++s) {
-    // Conv1 over this slot's window, visiting only nonzero input rows. With
-    // the fp32 backend the accumulation order per output channel matches
-    // nn::Conv1D (bias first, then weights in ascending (pos, feature)
-    // order), so skipping exact zeros leaves the sums bit-identical.
+    // Conv1 over this slot's window, visiting only the nonzeros of its
+    // non-dummy rows. With the fp32 backend the accumulation order per
+    // output channel matches nn::Conv1D (bias first, then weights in
+    // ascending (pos, feature) order), so skipping exact zeros leaves the
+    // sums bit-identical.
     bool any_row = false;
     for (int pos = 0; pos < r_; ++pos) {
-      const float* row = x + (static_cast<size_t>(s) * r_ + pos) * m_;
-      const int c0 = FirstNonZero(row, m_);
-      if (c0 < 0) continue;
+      const int32_t row = input.field[static_cast<size_t>(s) * r_ + pos];
+      if (row < 0) continue;
+      const int32_t begin = input.row_ptr[static_cast<size_t>(row)];
+      const int32_t nnz = input.row_ptr[static_cast<size_t>(row) + 1] - begin;
+      if (nnz == 0) continue;
       if (!any_row) {
         for (int o = 0; o < c1_; ++o) {
           scratch->h1[static_cast<size_t>(o)] = conv1_b_.data()[o];
         }
         any_row = true;
       }
-      be.AccumulateDot(*conv1_p_, pos * m_ + c0, m_ - c0, row + c0,
-                       scratch->h1.data());
+      be.AccumulateSparse(*conv1_p_, pos * m_, input.cols.data() + begin,
+                          input.vals.data() + begin, nnz, scratch->h1.data());
     }
 
     const std::vector<float>* h3 = &dummy3_;
@@ -185,9 +182,9 @@ void CompiledModel::ForwardInto(const nn::Tensor& input,
                   scratch->logits.data());
 }
 
-Prediction CompiledModel::Predict(const nn::Tensor& input,
+Prediction CompiledModel::Predict(const SparseInput& input,
                                   ForwardScratch* scratch) const {
-  ForwardInto(input, scratch);
+  Forward(input, scratch);
   const std::vector<float>& logits = scratch->logits;
   Prediction p;
   // Argmax with Tensor::ArgMax's tie-break (first maximum wins).
@@ -212,21 +209,20 @@ Prediction CompiledModel::Predict(const nn::Tensor& input,
   return p;
 }
 
-nn::Tensor CompiledModel::Logits(const nn::Tensor& input,
+Prediction CompiledModel::Predict(const nn::Tensor& input,
+                                  ForwardScratch* scratch) const {
+  return Predict(SparseInput::FromDense(input, w_, r_), scratch);
+}
+
+nn::Tensor CompiledModel::Logits(const SparseInput& input,
                                  ForwardScratch* scratch) const {
-  ForwardInto(input, scratch);
+  Forward(input, scratch);
   return nn::Tensor::FromFlat(scratch->logits);
 }
 
-void CompiledModel::PredictRange(const std::vector<nn::Tensor>& inputs,
-                                 size_t begin, size_t end,
-                                 ForwardScratch* scratch,
-                                 std::vector<Prediction>* predictions) const {
-  DEEPMAP_CHECK_LE(end, inputs.size());
-  DEEPMAP_CHECK_LE(end, predictions->size());
-  for (size_t i = begin; i < end; ++i) {
-    (*predictions)[i] = Predict(inputs[i], scratch);
-  }
+nn::Tensor CompiledModel::Logits(const nn::Tensor& input,
+                                 ForwardScratch* scratch) const {
+  return Logits(SparseInput::FromDense(input, w_, r_), scratch);
 }
 
 }  // namespace deepmap::serve

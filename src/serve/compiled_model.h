@@ -2,25 +2,32 @@
 //
 // The training-path layers (nn::Conv1D etc.) cache activations for Backward
 // on every Forward call, allocate a fresh tensor per layer, and compute all
-// w sequence slots even though DEEPMAP inputs are zero-padded to the
-// dataset-wide maximum vertex count. None of that is needed to serve
+// w sequence slots over a dense [w*r, m] input even though that input is
+// zero-padded to the dataset-wide maximum vertex count and its vertex rows
+// hold a few nonzero columns out of m. None of that is needed to serve
 // predictions, so the registry compiles the parameters into a flat,
-// immutable weight bundle with a forward pass that
-//   - skips zero input rows (dummy receptive-field slots and padding rows
-//     contribute nothing beyond the bias),
+// immutable weight bundle with one forward pass over a SparseInput
+// (serve/sparse_input.h) that
+//   - runs Conv1 as a sum of weight columns over each receptive-field row's
+//     nonzeros (nn::InferenceBackend::AccumulateSparse), never touching a
+//     zero input,
 //   - routes fully-empty vertex slots through a precomputed constant
 //     activation chain (bias -> ReLU -> pointwise convs), so per-graph cost
 //     scales with the actual vertex count n instead of w,
 //   - reuses caller-provided scratch buffers (no per-sample allocation).
+// The sum, mean and concat readouts all run in that one pass. Predict and
+// Logits also accept the dense tensor, converting it with
+// SparseInput::FromDense; that is an adapter for offline callers and tests,
+// not a second forward implementation.
 //
 // Kernel execution is delegated to an nn::InferenceBackend chosen at Compile
-// time: weights are packed once through InferenceBackend::Pack and every dot
-// product in the forward pass runs through the backend's primitives. With
-// the default nn::Fp32Backend() the evaluation order mirrors the training
-// layers exactly, so compiled logits are bit-identical to
-// DeepMapModel::Forward(.., false); quantized backends (nn::Int8Backend)
-// trade bounded rounding for throughput and are guarded by the registry's
-// calibration harness (see serve/model_registry.h).
+// time: weights are packed once (conv1 through PackSparse, the rest through
+// Pack) and every dot product in the forward pass runs through the
+// backend's primitives. With the default nn::Fp32Backend() the evaluation
+// order mirrors the training layers exactly, so compiled logits are
+// bit-identical to DeepMapModel::Forward(.., false); quantized backends
+// (nn::Int8Backend) trade bounded rounding for throughput and are guarded
+// by the registry's calibration harness (see serve/model_registry.h).
 //
 // CompiledModel is immutable after Compile and safe to share across threads.
 #ifndef DEEPMAP_SERVE_COMPILED_MODEL_H_
@@ -33,6 +40,7 @@
 #include "core/deepmap.h"
 #include "nn/inference_backend.h"
 #include "nn/tensor.h"
+#include "serve/sparse_input.h"
 
 namespace deepmap::serve {
 
@@ -87,26 +95,24 @@ class CompiledModel {
   /// Resident bytes of all packed weight matrices (bench/inspection).
   size_t PackedWeightBytes() const;
 
-  /// Classifies one preprocessed input of shape [w*r, m]. Thread-safe; pass
-  /// a distinct `scratch` per calling thread.
+  /// Classifies one preprocessed input (w, r and m must match the model).
+  /// Thread-safe; pass a distinct `scratch` per calling thread.
+  Prediction Predict(const SparseInput& input, ForwardScratch* scratch) const;
+  /// Predict on a dense [w*r, m] input.
   Prediction Predict(const nn::Tensor& input, ForwardScratch* scratch) const;
 
   /// Raw class scores (pre-softmax) for equivalence checks; written into
   /// scratch->logits and returned as a tensor copy.
+  nn::Tensor Logits(const SparseInput& input, ForwardScratch* scratch) const;
+  /// Logits on a dense [w*r, m] input.
   nn::Tensor Logits(const nn::Tensor& input, ForwardScratch* scratch) const;
-
-  /// Classifies inputs[begin, end) into predictions[begin, end). Designed to
-  /// be sharded across ThreadPool workers; one scratch per shard.
-  void PredictRange(const std::vector<nn::Tensor>& inputs, size_t begin,
-                    size_t end, ForwardScratch* scratch,
-                    std::vector<Prediction>* predictions) const;
 
  private:
   CompiledModel() = default;
 
   /// Runs the conv stack + readout + dense head; leaves logits in
   /// scratch->logits.
-  void ForwardInto(const nn::Tensor& input, ForwardScratch* scratch) const;
+  void Forward(const SparseInput& input, ForwardScratch* scratch) const;
 
   int m_ = 0;            // vertex feature dimension
   int w_ = 0;            // sequence length (max vertices)
@@ -121,9 +127,10 @@ class CompiledModel {
   // owned by the surrounding ServableModel.
   const nn::InferenceBackend* backend_ = nullptr;
 
-  // Weights packed by backend_; biases stay fp32 (they seed accumulators in
-  // every backend). Training layouts: conv1 [c1, r*m], conv2 [c2, c1],
-  // conv3 [c3, c2], dense1 [dense, readout_dim], dense2 [C, dense].
+  // Weights packed by backend_ (conv1 through PackSparse); biases stay fp32
+  // (they seed accumulators in every backend). Training layouts: conv1
+  // [c1, r*m], conv2 [c2, c1], conv3 [c3, c2], dense1 [dense, readout_dim],
+  // dense2 [C, dense].
   std::unique_ptr<nn::PackedWeights> conv1_p_, conv2_p_, conv3_p_;
   std::unique_ptr<nn::PackedWeights> dense1_p_, dense2_p_;
   nn::Tensor conv1_b_, conv2_b_, conv3_b_, dense1_b_, dense2_b_;

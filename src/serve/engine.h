@@ -9,8 +9,8 @@
 //     -> MicroBatcher (bounded MPSC queue, coalesces max_batch / max_wait_us)
 //     -> batch dispatch on the dispatcher thread:
 //          deadline re-check, preprocess each graph on the ThreadPool
-//          (feature map -> alignment -> tensor), deadline re-check, then the
-//          batched compiled forward pass, sharded across the pool
+//          (feature map -> alignment -> SparseInput), deadline re-check,
+//          then the batched compiled forward pass, sharded across the pool
 //     -> promises fulfilled, cache warmed, ServeMetrics updated.
 //
 // Submit is safe from any number of producer threads. Results are

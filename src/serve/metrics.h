@@ -64,7 +64,7 @@ inline constexpr int kNumServeOutcomes = 6;
 /// is how tests verify that hits bypass preprocessing.
 struct RequestTiming {
   double queue_us = 0.0;       // submit -> batch dispatch
-  double preprocess_us = 0.0;  // feature map -> alignment -> tensor
+  double preprocess_us = 0.0;  // feature map -> alignment -> SparseInput
   double forward_us = 0.0;     // batched CNN forward
   double total_us = 0.0;       // submit -> promise fulfilled
   bool cache_hit = false;

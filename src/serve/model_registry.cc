@@ -131,7 +131,8 @@ Status ModelRegistry::CompileInto(ServableModel& servable,
     int disagreements = 0;
     float max_diff = 0.0f;
     for (size_t i = 0; i < graphs.size() && used < want; ++i) {
-      StatusOr<nn::Tensor> input = servable.preprocessor_.Preprocess(graphs[i]);
+      StatusOr<SparseInput> input =
+          servable.preprocessor_.PreprocessSparse(graphs[i]);
       if (!input.ok()) continue;  // oversized/empty graphs can't calibrate
       const Prediction pq = quantized.value().Predict(input.value(),
                                                       &quant_scratch);
@@ -357,7 +358,8 @@ StatusOr<std::shared_ptr<ServableModel>> ModelRegistry::Reload(
     const std::vector<graph::Graph>& graphs = reference.graphs();
     for (size_t i = 0;
          i < graphs.size() && shadow_used < options.shadow_graphs; ++i) {
-      StatusOr<nn::Tensor> input = servable->preprocessor().Preprocess(graphs[i]);
+      StatusOr<SparseInput> input =
+          servable->preprocessor().PreprocessSparse(graphs[i]);
       if (!input.ok()) continue;  // oversized/empty graphs can't validate
       const Prediction fresh =
           servable->compiled().Predict(input.value(), &new_scratch);

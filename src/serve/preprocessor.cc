@@ -4,6 +4,7 @@
 
 #include "common/failpoint.h"
 #include "core/receptive_field.h"
+#include "graph/digest.h"
 #include "kernels/graphlet.h"
 #include "kernels/shortest_path.h"
 #include "kernels/treepp.h"
@@ -15,8 +16,7 @@ Preprocessor::Preprocessor(const graph::GraphDataset& reference,
     : config_(config),
       features_(kernels::ComputeDatasetVertexFeatures(reference,
                                                       config.features)),
-      sequence_length_(std::max(1, reference.MaxVertices())),
-      rng_(config.features.seed) {
+      sequence_length_(std::max(1, reference.MaxVertices())) {
   if (config_.features.kind == kernels::FeatureMapKind::kWlSubtree) {
     // Replay the training refinement so request graphs are colored with the
     // same dictionary ids the vocabulary (and the model) was built on.
@@ -31,9 +31,11 @@ std::vector<kernels::SparseFeatureMap> Preprocessor::ComputeMaps(
     const graph::Graph& g) {
   switch (config_.features.kind) {
     case kernels::FeatureMapKind::kGraphlet: {
-      std::lock_guard<std::mutex> lock(mu_);  // sampling RNG is stateful
+      const graph::GraphDigest digest = graph::DigestOf(g);
+      Rng rng(config_.features.seed ^ digest.lo ^
+              (digest.hi * 0x9E3779B97F4A7C15ULL));
       return kernels::VertexGraphletFeatureMaps(g, config_.features.graphlet,
-                                                rng_);
+                                                rng);
     }
     case kernels::FeatureMapKind::kShortestPath:
       return kernels::VertexSpFeatureMaps(g, config_.features.shortest_path);
@@ -47,7 +49,7 @@ std::vector<kernels::SparseFeatureMap> Preprocessor::ComputeMaps(
   return {};
 }
 
-StatusOr<nn::Tensor> Preprocessor::Preprocess(const graph::Graph& g) {
+StatusOr<SparseInput> Preprocessor::PreprocessSparse(const graph::Graph& g) {
   const int n = g.NumVertices();
   if (n == 0) {
     return Status::InvalidArgument("cannot classify an empty graph");
@@ -62,21 +64,21 @@ StatusOr<nn::Tensor> Preprocessor::Preprocess(const graph::Graph& g) {
   // servable graph, not a client error (which keeps its InvalidArgument).
   DEEPMAP_INJECT_FAULT("serve.preprocess");
   const int r = config_.receptive_field_size;
-  const int m = features_.dim();
 
   const std::vector<kernels::SparseFeatureMap> maps = ComputeMaps(g);
 
-  // Densify each vertex once (the offline path re-densifies per receptive
-  // field position). Rows are converted to float up front.
-  std::vector<std::vector<float>> rows(static_cast<size_t>(n));
+  // Row v is vertex v's nonzeros, stored once however many receptive
+  // fields the vertex appears in.
+  SparseInput input;
+  input.w = sequence_length_;
+  input.r = r;
+  input.m = features_.dim();
   for (int v = 0; v < n; ++v) {
-    const std::vector<double> dense =
-        features_.DensifyRow(maps[static_cast<size_t>(v)]);
-    std::vector<float>& row = rows[static_cast<size_t>(v)];
-    row.resize(dense.size());
-    for (size_t c = 0; c < dense.size(); ++c) {
-      row[c] = static_cast<float>(dense[c]);
+    for (const kernels::RowEntry& e :
+         features_.SparseRow(maps[static_cast<size_t>(v)])) {
+      input.Push(e.col, static_cast<float>(e.value));
     }
+    input.EndRow();
   }
 
   Rng* alignment_rng = nullptr;
@@ -89,22 +91,25 @@ StatusOr<nn::Tensor> Preprocessor::Preprocess(const graph::Graph& g) {
   const std::vector<graph::Vertex> sequence =
       core::GenerateVertexSequence(g, centrality, sequence_length_);
 
-  nn::Tensor input({sequence_length_ * r, m});
+  input.field.assign(static_cast<size_t>(sequence_length_) * r, -1);
   for (int slot = 0; slot < sequence_length_; ++slot) {
     const graph::Vertex v = sequence[static_cast<size_t>(slot)];
-    if (v == core::kDummyVertex) continue;  // r zero rows
+    if (v == core::kDummyVertex) continue;  // r dummy rows
     const std::vector<graph::Vertex> field =
         core::BuildReceptiveField(g, v, r, centrality);
     for (int pos = 0; pos < r; ++pos) {
       const graph::Vertex u = field[static_cast<size_t>(pos)];
-      if (u == core::kDummyVertex) continue;  // zero row
-      const std::vector<float>& row = rows[static_cast<size_t>(u)];
-      float* dst =
-          input.data() + (static_cast<size_t>(slot) * r + pos) * m;
-      std::copy(row.begin(), row.end(), dst);
+      if (u == core::kDummyVertex) continue;  // dummy row
+      input.field[static_cast<size_t>(slot) * r + pos] = u;
     }
   }
   return input;
+}
+
+StatusOr<nn::Tensor> Preprocessor::Preprocess(const graph::Graph& g) {
+  StatusOr<SparseInput> input = PreprocessSparse(g);
+  if (!input.ok()) return input.status();
+  return input.value().ToDense();
 }
 
 }  // namespace deepmap::serve

@@ -107,8 +107,8 @@ void BatchPipeline::Preprocess(State* state) {
     pool_->Submit([this, state, i, &preprocessor] {
       DEEPMAP_TRACE_SPAN("serve.preprocess", "serve");
       const auto t0 = std::chrono::steady_clock::now();
-      StatusOr<nn::Tensor> result =
-          preprocessor.Preprocess(state->batch[i].graph);
+      StatusOr<SparseInput> result =
+          preprocessor.PreprocessSparse(state->batch[i].graph);
       if (result.ok()) {
         state->inputs[i] = std::move(result).value();
       } else {

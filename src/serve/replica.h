@@ -8,7 +8,7 @@
 //   Begin       pin the current servable (hot reload swaps between batches,
 //               never inside one), snapshot dispatch time, record queue
 //               depth, arm the whole-batch fault ("serve.engine.batch")
-//   Preprocess  feature map -> alignment -> tensor for every not-yet-
+//   Preprocess  feature map -> alignment -> SparseInput for every not-yet-
 //               preprocessed request, sharded on the pipeline's ThreadPool
 //   Admit       continuous batching: append newly arrived requests to the
 //               in-flight batch (another Preprocess covers just them)
@@ -98,7 +98,7 @@ class BatchPipeline {
     Status batch_fault;  // whole-batch injected fault, set at Begin
     std::vector<Status> statuses;
     std::vector<const char*> deadline_stage;
-    std::vector<nn::Tensor> inputs;
+    std::vector<SparseInput> inputs;
     std::vector<double> preprocess_us;
     std::vector<Prediction> predictions;
     std::vector<double> forward_us;
