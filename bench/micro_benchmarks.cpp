@@ -81,9 +81,11 @@ BENCHMARK(BM_GraphletSampling)->Arg(3)->Arg(4)->Arg(5);
 void BM_ReceptiveField(benchmark::State& state) {
   graph::Graph g = MakeGraph(128, 6.0, 7);
   auto centrality = graph::EigenvectorCentrality(g);
+  auto sequence = core::GenerateVertexSequence(g, centrality, g.NumVertices());
   int r = static_cast<int>(state.range(0));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(core::BuildAllReceptiveFields(g, r, centrality));
+    benchmark::DoNotOptimize(
+        core::BuildFieldTable(g, sequence, r, centrality));
   }
 }
 BENCHMARK(BM_ReceptiveField)->Arg(3)->Arg(5)->Arg(10);

@@ -52,18 +52,13 @@ nn::Tensor BuildDeepMapInput(const graph::Graph& g,
     }
   }
 
-  for (int slot = 0; slot < sequence_length; ++slot) {
-    const graph::Vertex v = sequence[slot];
-    if (v == kDummyVertex) continue;  // r zero rows (Algorithm 1 line 19)
-    const std::vector<graph::Vertex> field =
-        BuildReceptiveField(g, v, r, centrality);
-    for (int pos = 0; pos < r; ++pos) {
-      const graph::Vertex u = field[pos];
-      if (u == kDummyVertex) continue;  // zero row
-      const std::vector<float>& row = rows[static_cast<size_t>(u)];
-      float* dst = input.data() + (static_cast<size_t>(slot) * r + pos) * m;
-      std::copy(row.begin(), row.end(), dst);
-    }
+  const std::vector<graph::Vertex> table =
+      BuildFieldTable(g, sequence, r, centrality);
+  for (size_t i = 0; i < table.size(); ++i) {
+    const graph::Vertex u = table[i];
+    if (u == kDummyVertex) continue;  // zero row (Algorithm 1 line 19)
+    const std::vector<float>& row = rows[static_cast<size_t>(u)];
+    std::copy(row.begin(), row.end(), input.data() + i * m);
   }
   return input;
 }

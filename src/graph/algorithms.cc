@@ -83,16 +83,17 @@ std::vector<std::vector<int>> FloydWarshallShortestPaths(const Graph& g) {
 
 std::vector<int> ConnectedComponents(const Graph& g) {
   std::vector<int> component(g.NumVertices(), -1);
+  std::vector<Vertex> queue;
+  queue.reserve(static_cast<size_t>(g.NumVertices()));
   int next_id = 0;
   for (Vertex s = 0; s < g.NumVertices(); ++s) {
     if (component[s] != -1) continue;
     int id = next_id++;
-    std::deque<Vertex> queue{s};
+    // Flat BFS queue: a vertex is enqueued once, so n slots always suffice.
+    queue.assign(1, s);
     component[s] = id;
-    while (!queue.empty()) {
-      Vertex u = queue.front();
-      queue.pop_front();
-      for (Vertex v : g.Neighbors(u)) {
+    for (size_t head = 0; head < queue.size(); ++head) {
+      for (Vertex v : g.Neighbors(queue[head])) {
         if (component[v] == -1) {
           component[v] = id;
           queue.push_back(v);

@@ -6,6 +6,7 @@
 
 #include "common/check.h"
 #include "graph/algorithms.h"
+#include "graph/ordered_adjacency.h"
 
 namespace deepmap::graph {
 
@@ -17,6 +18,12 @@ std::vector<double> EigenvectorCentrality(const Graph& g,
     // Adjacency matrix is zero: every vertex is equally (un)central.
     return std::vector<double>(n, 1.0 / std::sqrt(static_cast<double>(n)));
   }
+
+  // One flat adjacency in identity order: every list is ascending-id, so each
+  // vertex's sum below adds self first, then its neighbours by ascending id.
+  std::vector<Vertex> identity(static_cast<size_t>(n));
+  std::iota(identity.begin(), identity.end(), 0);
+  const OrderedAdjacency adjacency(g, identity);
 
   // The iteration must be normalized PER CONNECTED COMPONENT. Under a single
   // global normalization every component whose spectral radius is below the
@@ -50,15 +57,14 @@ std::vector<double> EigenvectorCentrality(const Graph& g,
     // Iterate on A + I: same eigenvectors as A, but the top eigenvalue is
     // strictly dominant in magnitude, so the iteration also converges on
     // bipartite graphs (where A's spectrum is symmetric and plain power
-    // iteration oscillates with period two).
-    for (Vertex v = 0; v < n; ++v) {
-      double sum = x[v];
-      for (Vertex u : g.Neighbors(v)) sum += x[u];
-      next[v] = sum;
-    }
+    // iteration oscillates with period two). Each component's squared norm
+    // accumulates in the same pass, in ascending vertex order.
     std::fill(norm.begin(), norm.end(), 0.0);
     for (Vertex v = 0; v < n; ++v) {
-      norm[component[v]] += next[v] * next[v];
+      double sum = x[v];
+      for (Vertex u : adjacency.Neighbors(v)) sum += x[u];
+      next[v] = sum;
+      norm[component[v]] += sum * sum;
     }
     bool renormalized = false;
     for (int c = 0; c < num_components; ++c) {

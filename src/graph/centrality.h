@@ -28,6 +28,13 @@ struct CentralityOptions {
 /// so no component's values decay to zero just because another component has
 /// a larger spectral radius. Within-component orderings are therefore exact,
 /// and cross-component comparisons are on an equal-mass footing.
+///
+/// Runs over one flat adjacency in identity order (graph::OrderedAdjacency),
+/// built once per call: each round sums, per vertex, itself first and then
+/// its neighbours by ascending id, accumulating its component's squared norm
+/// in the same pass and vertex order. That order, the tolerance and the
+/// iteration cap fix every output bit; a looser stop or another summation
+/// order would reorder near-ties in the alignment and change logits.
 std::vector<double> EigenvectorCentrality(
     const Graph& g, const CentralityOptions& options = {});
 

@@ -1,14 +1,57 @@
 #include "kernels/wl.h"
 
 #include <algorithm>
+#include <chrono>
+#include <numeric>
+#include <random>
 
 #include "common/check.h"
+#include "graph/ordered_adjacency.h"
 
 namespace deepmap::kernels {
+namespace {
+
+/// Drawn once per process, so clients cannot predict bucket collisions.
+uint64_t ProcessHashSeed() {
+  static const uint64_t seed = [] {
+    std::random_device device;
+    const uint64_t entropy = (uint64_t{device()} << 32) ^ device();
+    return entropy ^ static_cast<uint64_t>(
+                         std::chrono::steady_clock::now()
+                             .time_since_epoch()
+                             .count());
+  }();
+  return seed;
+}
+
+/// High and low halves of the 128-bit product, folded. A product mod 2^64
+/// would let a crafted top-bit difference pass through unchanged for every
+/// seed, (a ^ 2^63) * k == (a * k) ^ 2^63 for odd k, and be cancelled by the
+/// next color; in the high half it depends on the seeded multiplier.
+uint64_t FoldedMultiply(uint64_t a, uint64_t b) {
+  const unsigned __int128 product = static_cast<unsigned __int128>(a) * b;
+  return static_cast<uint64_t>(product) ^
+         static_cast<uint64_t>(product >> 64);
+}
+
+}  // namespace
+
+size_t WlRefinement::SignatureHash::operator()(
+    const std::vector<int64_t>& signature) const {
+  const uint64_t multiplier = seed | 1;
+  uint64_t h = seed ^ signature.size();
+  for (int64_t color : signature) {
+    h = FoldedMultiply(h ^ static_cast<uint64_t>(color), multiplier);
+  }
+  return static_cast<size_t>(h);
+}
 
 WlRefinement::WlRefinement(const WlConfig& config) : config_(config) {
   DEEPMAP_CHECK_GE(config.iterations, 0);
-  dictionaries_.resize(config.iterations);
+  dictionaries_.reserve(static_cast<size_t>(config.iterations));
+  for (int h = 0; h < config.iterations; ++h) {
+    dictionaries_.emplace_back(0, SignatureHash{ProcessHashSeed()});
+  }
 }
 
 std::vector<std::vector<int64_t>> WlRefinement::Refine(const graph::Graph& g) {
@@ -16,24 +59,32 @@ std::vector<std::vector<int64_t>> WlRefinement::Refine(const graph::Graph& g) {
   std::vector<std::vector<int64_t>> colors(config_.iterations + 1);
   colors[0].resize(n);
   for (graph::Vertex v = 0; v < n; ++v) colors[0][v] = g.GetLabel(v);
-  // One reusable signature buffer per round: the dictionary lookup is by
-  // value, so the buffer is only copied into the map on a miss (new color),
-  // not once per vertex as the old move-into-try_emplace did.
+  std::vector<graph::Vertex> by_color(static_cast<size_t>(n));
+  // One reusable signature buffer: the dictionary lookup is by value, so the
+  // buffer is only copied into the table on a miss (a new color).
   std::vector<int64_t> signature;
   for (int h = 1; h <= config_.iterations; ++h) {
     const std::vector<int64_t>& prev = colors[h - 1];
     auto& dict = dictionaries_[h - 1];
     colors[h].resize(n);
+    // Neighbor lists ordered by previous color: each signature is then
+    // sorted as it is read off.
+    std::iota(by_color.begin(), by_color.end(), 0);
+    std::sort(by_color.begin(), by_color.end(),
+              [&](graph::Vertex a, graph::Vertex b) {
+                return prev[a] < prev[b];
+              });
+    const graph::OrderedAdjacency adjacency(g, by_color);
     for (graph::Vertex v = 0; v < n; ++v) {
       signature.clear();
-      signature.reserve(g.Degree(v) + 1);
       signature.push_back(prev[v]);
-      for (graph::Vertex u : g.Neighbors(v)) signature.push_back(prev[u]);
-      std::sort(signature.begin() + 1, signature.end());
+      for (graph::Vertex u : adjacency.Neighbors(v)) {
+        signature.push_back(prev[u]);
+      }
       auto it = dict.find(signature);
       if (it == dict.end()) {
-        it = dict.emplace(signature, static_cast<int64_t>(dict.size()))
-                 .first;
+        const auto id = static_cast<int64_t>(dict.size());
+        it = dict.emplace(signature, id).first;
       }
       colors[h][v] = it->second;
     }

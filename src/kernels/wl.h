@@ -8,11 +8,23 @@
 // graph is the concatenation over iterations h = 0..H of per-color counts
 // (Eq. 5); the per-vertex map (Definition 3) contributes one count per
 // (iteration, color-of-v) pair — the subtree patterns rooted at v.
+//
+// Each round is linear in the graph apart from one sort of the n vertices:
+// the vertices are ordered by their previous color and a flat adjacency is
+// built in that order (graph::OrderedAdjacency), so every neighbor list — and
+// with it every signature — comes out already sorted (the counting-sort
+// construction of Shervashidze et al. 2011) instead of being sorted per
+// vertex. Signatures are looked up in a hash table per iteration. A new
+// signature gets id = the dictionary's size at its first insertion, and the
+// vertices of a graph are looked up in ascending id order, so the ids depend
+// only on the sequence of graphs refined, never on the hash. The table's
+// hash is seeded per process: nothing iterates it, and a seed unknown to
+// clients keeps crafted request labels from forcing long collision chains.
 #ifndef DEEPMAP_KERNELS_WL_H_
 #define DEEPMAP_KERNELS_WL_H_
 
 #include <cstdint>
-#include <map>
+#include <unordered_map>
 #include <vector>
 
 #include "graph/graph.h"
@@ -42,10 +54,18 @@ class WlRefinement {
   size_t NumColorsAtIteration(int h) const;
 
  private:
+  /// Seeded hash of a signature (the seed is drawn once per process).
+  struct SignatureHash {
+    uint64_t seed;
+    size_t operator()(const std::vector<int64_t>& signature) const;
+  };
+  using Dictionary =
+      std::unordered_map<std::vector<int64_t>, int64_t, SignatureHash>;
+
   WlConfig config_;
   // One signature -> color dictionary per iteration (1-based; iteration 0
   // uses raw labels).
-  std::vector<std::map<std::vector<int64_t>, int64_t>> dictionaries_;
+  std::vector<Dictionary> dictionaries_;
 };
 
 /// Packs (iteration, color) into a FeatureId.

@@ -60,6 +60,14 @@ StatusOr<SparseInput> Preprocessor::PreprocessSparse(const graph::Graph& g) {
         " vertices; the model was compiled for sequences of at most " +
         std::to_string(sequence_length_));
   }
+  // Labels are the alphabet Sigma of non-negative integers; the feature
+  // maps treat a negative one as a broken invariant and abort.
+  for (graph::Label label : g.Labels()) {
+    if (label < 0) {
+      return Status::InvalidArgument(
+          "request graph has negative vertex label " + std::to_string(label));
+    }
+  }
   // After validation: an injected fault models infrastructure failure on a
   // servable graph, not a client error (which keeps its InvalidArgument).
   DEEPMAP_INJECT_FAULT("serve.preprocess");
@@ -91,18 +99,8 @@ StatusOr<SparseInput> Preprocessor::PreprocessSparse(const graph::Graph& g) {
   const std::vector<graph::Vertex> sequence =
       core::GenerateVertexSequence(g, centrality, sequence_length_);
 
-  input.field.assign(static_cast<size_t>(sequence_length_) * r, -1);
-  for (int slot = 0; slot < sequence_length_; ++slot) {
-    const graph::Vertex v = sequence[static_cast<size_t>(slot)];
-    if (v == core::kDummyVertex) continue;  // r dummy rows
-    const std::vector<graph::Vertex> field =
-        core::BuildReceptiveField(g, v, r, centrality);
-    for (int pos = 0; pos < r; ++pos) {
-      const graph::Vertex u = field[static_cast<size_t>(pos)];
-      if (u == core::kDummyVertex) continue;  // dummy row
-      input.field[static_cast<size_t>(slot) * r + pos] = u;
-    }
-  }
+  // kDummyVertex is the -1 the field table uses for a dummy row.
+  input.field = core::BuildFieldTable(g, sequence, r, centrality);
   return input;
 }
 

@@ -57,9 +57,10 @@ class Preprocessor {
   int sequence_length() const { return sequence_length_; }
   const kernels::DatasetVertexFeatures& features() const { return features_; }
 
-  /// Builds the sparse CNN input for one request graph. Fails for empty
-  /// graphs and for graphs with more vertices than the serving sequence
-  /// length w.
+  /// Builds the sparse CNN input for one request graph. Fails with
+  /// InvalidArgument for empty graphs, for graphs with more vertices than
+  /// the serving sequence length w, and for graphs with a negative vertex
+  /// label.
   StatusOr<SparseInput> PreprocessSparse(const graph::Graph& g);
 
   /// PreprocessSparse(g) scattered into the dense [w*r, m] input.

@@ -142,12 +142,19 @@ TEST(ReceptiveFieldTest, AllFieldsCoverEveryVertexOnce) {
   Graph g = Graph::FromEdges(6, {{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}});
   auto centrality =
       ComputeCentrality(g, AlignmentMeasure::kEigenvector, nullptr);
-  auto fields = BuildAllReceptiveFields(g, 3, centrality);
-  ASSERT_EQ(fields.size(), 6u);
-  for (int v = 0; v < 6; ++v) {
-    // Each field contains its own vertex.
-    EXPECT_NE(std::find(fields[v].begin(), fields[v].end(), v),
-              fields[v].end());
+  const std::vector<Vertex> sequence = GenerateVertexSequence(g, centrality, 8);
+  const std::vector<Vertex> table = BuildFieldTable(g, sequence, 3, centrality);
+  ASSERT_EQ(table.size(), 8u * 3u);
+  for (int slot = 0; slot < 6; ++slot) {
+    const auto row = table.begin() + slot * 3;
+    // Each field contains its own vertex, and equals the one-vertex builder.
+    EXPECT_NE(std::find(row, row + 3, sequence[slot]), row + 3);
+    EXPECT_EQ(std::vector<Vertex>(row, row + 3),
+              BuildReceptiveField(g, sequence[slot], 3, centrality));
+  }
+  // Padding slots are all dummies.
+  for (size_t i = 6 * 3; i < table.size(); ++i) {
+    EXPECT_EQ(table[i], kDummyVertex);
   }
 }
 

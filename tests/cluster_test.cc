@@ -217,6 +217,25 @@ TEST(ServeClusterTest, CacheHitBypassesReplicas) {
   EXPECT_EQ(cluster.cluster_metrics().dispatched(), dispatched);
 }
 
+TEST(ServeClusterTest, NegativeVertexLabelIsRejectedAndServingContinues) {
+  TrainedBundle& b = Bundle();
+  ServeCluster::Options options;
+  options.num_replicas = 2;
+  options.replica.num_threads = 1;
+  ServeCluster cluster(b.servable, options);
+
+  graph::Graph bad = b.dataset.graph(0);
+  bad.SetLabel(0, -1);
+  std::future<StatusOr<Prediction>> rejected = cluster.Submit(bad);
+  StatusOr<Prediction> result = MustResolve(rejected);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+
+  std::future<StatusOr<Prediction>> next = cluster.Submit(b.dataset.graph(1));
+  EXPECT_TRUE(MustResolve(next).ok());
+  cluster.Drain();
+}
+
 // ---------------------------------------------------------------------------
 // Work stealing
 

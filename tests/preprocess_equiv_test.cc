@@ -1,0 +1,485 @@
+// Byte-identity suite for the serve-path preprocessing stages that run over
+// a flat, order-scattered adjacency (graph::OrderedAdjacency):
+//   - WL refinement with colour-ordered signatures and a hashed dictionary
+//     gives the colours and dictionary sizes of the std::map + per-vertex
+//     sort refinement, across the reference replay, novel graphs and
+//     vertex-renumbered graphs;
+//   - eigenvector centrality gives the bytes of the power iteration over
+//     per-vertex neighbour vectors;
+//   - BuildFieldTable (rank-ordered lists, one epoch-stamped visited array)
+//     and BuildReceptiveField give the fields of the per-slot BFS with a
+//     fresh visited vector and a partial_sort of an overflowing hop;
+//   - so Preprocessor::PreprocessSparse and core::BuildDeepMapInput give the
+//     bytes the reference pipeline gives, on every Table-1 synthetic ×
+//     {eigenvector, degree, PageRank, betweenness} × r ∈ {3, 5, 10}, plus
+//     R-MAT, multi-component, isolated-vertex and one-vertex graphs.
+// The references below are the implementations these stages replaced.
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cmath>
+#include <cstring>
+#include <map>
+#include <numeric>
+#include <string>
+#include <vector>
+
+#include "common/rng.h"
+#include "core/alignment.h"
+#include "core/deepmap.h"
+#include "core/receptive_field.h"
+#include "datasets/random_graphs.h"
+#include "datasets/registry.h"
+#include "graph/algorithms.h"
+#include "graph/centrality.h"
+#include "kernels/vertex_feature_map.h"
+#include "kernels/wl.h"
+#include "serve/preprocessor.h"
+
+namespace deepmap {
+namespace {
+
+using core::AlignmentMeasure;
+using core::kDummyVertex;
+using graph::Graph;
+using graph::Vertex;
+
+// ---------------------------------------------------------------------------
+// References
+
+/// WL refinement over std::map dictionaries, sorting each signature.
+class ReferenceWl {
+ public:
+  explicit ReferenceWl(int iterations)
+      : dictionaries_(static_cast<size_t>(iterations)) {}
+
+  std::vector<std::vector<int64_t>> Refine(const Graph& g) {
+    const int n = g.NumVertices();
+    const int iterations = static_cast<int>(dictionaries_.size());
+    std::vector<std::vector<int64_t>> colors(iterations + 1);
+    colors[0].resize(n);
+    for (Vertex v = 0; v < n; ++v) colors[0][v] = g.GetLabel(v);
+    std::vector<int64_t> signature;
+    for (int h = 1; h <= iterations; ++h) {
+      const std::vector<int64_t>& prev = colors[h - 1];
+      auto& dict = dictionaries_[h - 1];
+      colors[h].resize(n);
+      for (Vertex v = 0; v < n; ++v) {
+        signature.clear();
+        signature.push_back(prev[v]);
+        for (Vertex u : g.Neighbors(v)) signature.push_back(prev[u]);
+        std::sort(signature.begin() + 1, signature.end());
+        auto it = dict.find(signature);
+        if (it == dict.end()) {
+          it = dict.emplace(signature, static_cast<int64_t>(dict.size()))
+                   .first;
+        }
+        colors[h][v] = it->second;
+      }
+    }
+    return colors;
+  }
+
+  size_t NumColorsAtIteration(int h) const {
+    return dictionaries_[h - 1].size();
+  }
+
+  std::vector<kernels::SparseFeatureMap> VertexMaps(const Graph& g) {
+    const auto colors = Refine(g);
+    std::vector<kernels::SparseFeatureMap> maps(g.NumVertices());
+    for (int h = 0; h < static_cast<int>(colors.size()); ++h) {
+      for (Vertex v = 0; v < g.NumVertices(); ++v) {
+        maps[v].Add(kernels::PackWlFeature(h, colors[h][v]));
+      }
+    }
+    return maps;
+  }
+
+ private:
+  std::vector<std::map<std::vector<int64_t>, int64_t>> dictionaries_;
+};
+
+/// Power iteration on A + I over Graph's per-vertex neighbour vectors, with
+/// the per-component norms accumulated in a second pass.
+std::vector<double> ReferenceEigenvector(const Graph& g) {
+  const graph::CentralityOptions options;
+  const int n = g.NumVertices();
+  if (n == 0) return {};
+  if (g.NumEdges() == 0) {
+    return std::vector<double>(n, 1.0 / std::sqrt(static_cast<double>(n)));
+  }
+  const std::vector<int> component = graph::ConnectedComponents(g);
+  int num_components = 0;
+  for (int c : component) num_components = std::max(num_components, c + 1);
+  std::vector<char> active(num_components, 0);
+  std::vector<int> size(num_components, 0);
+  for (Vertex v = 0; v < n; ++v) {
+    ++size[component[v]];
+    if (g.Degree(v) > 0) active[component[v]] = 1;
+  }
+  int num_active = 0;
+  for (char a : active) num_active += a;
+  std::vector<double> x(n, 0.0);
+  std::vector<double> norm(num_components);
+  for (Vertex v = 0; v < n; ++v) {
+    if (active[component[v]]) {
+      x[v] = 1.0 / std::sqrt(static_cast<double>(size[component[v]]));
+    }
+  }
+  std::vector<double> next(n, 0.0);
+  for (int iter = 0; iter < options.max_iterations; ++iter) {
+    for (Vertex v = 0; v < n; ++v) {
+      double sum = x[v];
+      for (Vertex u : g.Neighbors(v)) sum += x[u];
+      next[v] = sum;
+    }
+    std::fill(norm.begin(), norm.end(), 0.0);
+    for (Vertex v = 0; v < n; ++v) norm[component[v]] += next[v] * next[v];
+    bool renormalized = false;
+    for (int c = 0; c < num_components; ++c) {
+      if (!active[c]) continue;
+      if (norm[c] > 0.0) {
+        norm[c] = std::sqrt(norm[c]);
+      } else {
+        renormalized = true;
+      }
+    }
+    double delta = 0.0;
+    for (Vertex v = 0; v < n; ++v) {
+      const int c = component[v];
+      if (!active[c]) continue;
+      next[v] = norm[c] > 0.0
+                    ? next[v] / norm[c]
+                    : 1.0 / std::sqrt(static_cast<double>(size[c]));
+      delta = std::max(delta, std::fabs(next[v] - x[v]));
+    }
+    x.swap(next);
+    if (!renormalized && delta < options.tolerance) break;
+  }
+  if (num_active > 0) {
+    const double scale = 1.0 / std::sqrt(static_cast<double>(num_active));
+    for (double& value : x) value *= scale;
+  }
+  for (double& value : x) value = std::max(value, 0.0);
+  return x;
+}
+
+std::vector<double> ReferenceCentrality(const Graph& g,
+                                        AlignmentMeasure measure) {
+  if (measure == AlignmentMeasure::kEigenvector) {
+    return ReferenceEigenvector(g);
+  }
+  return core::ComputeCentrality(g, measure, nullptr);
+}
+
+/// One field by BFS with a fresh visited vector, keeping the top of an
+/// overflowing hop with partial_sort.
+std::vector<Vertex> ReferenceField(const Graph& g, Vertex v, int r,
+                                   const std::vector<double>& centrality) {
+  auto by_centrality_desc = [&](Vertex a, Vertex b) {
+    if (centrality[a] != centrality[b]) return centrality[a] > centrality[b];
+    return a < b;
+  };
+  std::vector<Vertex> field{v};
+  std::vector<bool> taken(g.NumVertices(), false);
+  taken[v] = true;
+  std::vector<Vertex> hop{v};
+  while (static_cast<int>(field.size()) < r && !hop.empty()) {
+    std::vector<Vertex> next_hop;
+    for (Vertex u : hop) {
+      for (Vertex w : g.Neighbors(u)) {
+        if (!taken[w]) {
+          taken[w] = true;
+          next_hop.push_back(w);
+        }
+      }
+    }
+    const int room = r - static_cast<int>(field.size());
+    if (static_cast<int>(next_hop.size()) > room) {
+      std::partial_sort(next_hop.begin(), next_hop.begin() + room,
+                        next_hop.end(), by_centrality_desc);
+      next_hop.resize(static_cast<size_t>(room));
+    }
+    field.insert(field.end(), next_hop.begin(), next_hop.end());
+    hop = std::move(next_hop);
+  }
+  std::sort(field.begin(), field.end(), by_centrality_desc);
+  field.resize(static_cast<size_t>(r), kDummyVertex);
+  return field;
+}
+
+std::vector<Vertex> ReferenceFieldTable(const Graph& g,
+                                        const std::vector<Vertex>& sequence,
+                                        int r,
+                                        const std::vector<double>& centrality) {
+  std::vector<Vertex> table(sequence.size() * static_cast<size_t>(r),
+                            kDummyVertex);
+  for (size_t slot = 0; slot < sequence.size(); ++slot) {
+    if (sequence[slot] == kDummyVertex) continue;
+    const std::vector<Vertex> field =
+        ReferenceField(g, sequence[slot], r, centrality);
+    std::copy(field.begin(), field.end(), table.begin() + slot * r);
+  }
+  return table;
+}
+
+/// PreprocessSparse assembled from the references.
+serve::SparseInput ReferenceSparse(
+    const Graph& g, ReferenceWl& wl,
+    const kernels::DatasetVertexFeatures& features, int w, int r,
+    AlignmentMeasure measure) {
+  const std::vector<kernels::SparseFeatureMap> maps = wl.VertexMaps(g);
+  serve::SparseInput input;
+  input.w = w;
+  input.r = r;
+  input.m = features.dim();
+  for (const kernels::SparseFeatureMap& map : maps) {
+    for (const kernels::RowEntry& e : features.SparseRow(map)) {
+      input.Push(e.col, static_cast<float>(e.value));
+    }
+    input.EndRow();
+  }
+  const std::vector<double> centrality = ReferenceCentrality(g, measure);
+  const std::vector<Vertex> sequence =
+      core::GenerateVertexSequence(g, centrality, w);
+  input.field = ReferenceFieldTable(g, sequence, r, centrality);
+  return input;
+}
+
+/// BuildDeepMapInput assembled from the references.
+nn::Tensor ReferenceDense(const Graph& g,
+                          const kernels::DatasetVertexFeatures& features,
+                          int graph_index, int w, int r,
+                          AlignmentMeasure measure) {
+  const int m = features.dim();
+  nn::Tensor input({w * r, m});
+  const std::vector<double> centrality = ReferenceCentrality(g, measure);
+  const std::vector<Vertex> table = ReferenceFieldTable(
+      g, core::GenerateVertexSequence(g, centrality, w), r, centrality);
+  for (size_t i = 0; i < table.size(); ++i) {
+    if (table[i] == kDummyVertex) continue;
+    const std::vector<double> row = features.DenseRow(graph_index, table[i]);
+    for (int c = 0; c < m; ++c) {
+      input.data()[i * m + c] = static_cast<float>(row[c]);
+    }
+  }
+  return input;
+}
+
+// ---------------------------------------------------------------------------
+// Graphs
+
+constexpr AlignmentMeasure kMeasures[] = {
+    AlignmentMeasure::kEigenvector, AlignmentMeasure::kDegree,
+    AlignmentMeasure::kPageRank, AlignmentMeasure::kBetweenness};
+constexpr int kFieldSizes[] = {3, 5, 10};
+
+graph::GraphDataset Synthetic(const std::string& name, int min_graphs,
+                              uint64_t seed) {
+  datasets::DatasetOptions options;
+  options.scale = 0.0;
+  options.min_graphs = min_graphs;
+  options.seed = seed;
+  auto dataset = datasets::MakeDataset(name, options);
+  DEEPMAP_CHECK(dataset.ok());
+  return std::move(dataset).value();
+}
+
+/// R-MAT (hubs whose first hop overflows every field), several components
+/// of different shapes (regular ones tie on every centrality), isolated
+/// vertices, an edgeless graph and a single vertex. At most `max_vertices`
+/// vertices each; labels in [0, 4).
+std::vector<Graph> EdgeCaseGraphs(int max_vertices, uint64_t seed) {
+  Rng rng(seed);
+  const int n = std::min(max_vertices, 40);
+  std::vector<Graph> graphs;
+  if (n >= 2) graphs.push_back(datasets::RMat(n, 4, rng));
+  if (n >= 12) {
+    Graph g(n);
+    // Path 0-1-2-3, triangle 4-5-6, star 7-{8,9,10}, then a cycle over
+    // the rest but the last two vertices, which stay isolated.
+    for (auto [u, v] : std::vector<std::pair<Vertex, Vertex>>{
+             {0, 1}, {1, 2}, {2, 3}, {4, 5}, {5, 6}, {4, 6}, {7, 8}, {7, 9},
+             {7, 10}}) {
+      g.AddEdge(u, v);
+    }
+    for (Vertex v = 11; v + 1 < n - 2; ++v) g.AddEdge(v, v + 1);
+    if (n - 3 > 12) g.AddEdge(11, n - 3);
+    graphs.push_back(g);
+  }
+  if (n >= 3) {
+    Graph g = Graph::FromEdges(n, {{0, 1}, {1, 2}});
+    graphs.push_back(g);         // mostly isolated vertices
+    graphs.push_back(Graph(n));  // no edges at all
+  }
+  graphs.push_back(Graph(1));
+  for (Graph& g : graphs) {
+    for (Vertex v = 0; v < g.NumVertices(); ++v) {
+      g.SetLabel(v, rng.UniformInt(0, 3));
+    }
+  }
+  return graphs;
+}
+
+/// `g` with its vertices renumbered by a seeded shuffle.
+Graph Renumbered(const Graph& g, uint64_t seed) {
+  std::vector<Vertex> perm(g.NumVertices());
+  std::iota(perm.begin(), perm.end(), 0);
+  Rng rng(seed);
+  rng.Shuffle(perm);
+  return g.Permuted(perm);
+}
+
+bool SameDoubles(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+void ExpectSameSparse(const serve::SparseInput& got,
+                      const serve::SparseInput& want) {
+  EXPECT_EQ(got.w, want.w);
+  EXPECT_EQ(got.r, want.r);
+  EXPECT_EQ(got.m, want.m);
+  EXPECT_EQ(got.row_ptr, want.row_ptr);
+  EXPECT_EQ(got.cols, want.cols);
+  ASSERT_EQ(got.vals.size(), want.vals.size());
+  EXPECT_EQ(std::memcmp(got.vals.data(), want.vals.data(),
+                        got.vals.size() * sizeof(float)),
+            0);
+  EXPECT_EQ(got.field, want.field);
+}
+
+// ---------------------------------------------------------------------------
+// Per Table-1 synthetic
+
+class PreprocessEquivTest : public ::testing::TestWithParam<std::string> {
+ protected:
+  graph::GraphDataset Reference() const { return Synthetic(GetParam(), 8, 42); }
+
+  /// The reference set's graphs, then the same graphs renumbered, then
+  /// never-seen graphs from another seed and the edge cases, all with at
+  /// most `max_vertices` vertices.
+  std::vector<Graph> Corpus(const graph::GraphDataset& reference,
+                            int max_vertices) const {
+    std::vector<Graph> corpus = reference.graphs();
+    for (const Graph& g : reference.graphs()) {
+      corpus.push_back(Renumbered(g, 7 + corpus.size()));
+    }
+    const graph::GraphDataset novel = Synthetic(GetParam(), 4, 1234);
+    for (const Graph& g : novel.graphs()) {
+      if (g.NumVertices() <= max_vertices) corpus.push_back(g);
+    }
+    for (Graph& g : EdgeCaseGraphs(max_vertices, 99)) {
+      corpus.push_back(std::move(g));
+    }
+    return corpus;
+  }
+};
+
+TEST_P(PreprocessEquivTest, WlColorsAndDictionarySizesMatchReference) {
+  const graph::GraphDataset reference = Reference();
+  const int w = std::max(1, reference.MaxVertices());
+  for (int iterations : {0, 1, 3}) {
+    kernels::WlRefinement refinery(kernels::WlConfig{iterations});
+    ReferenceWl expected(iterations);
+    // Reference replay, then renumbered, novel and edge-case graphs: the ids
+    // of new signatures depend on everything refined before.
+    for (const Graph& g : Corpus(reference, w)) {
+      ASSERT_EQ(refinery.Refine(g), expected.Refine(g))
+          << GetParam() << " H=" << iterations << " " << g.ToString();
+      for (int h = 1; h <= iterations; ++h) {
+        ASSERT_EQ(refinery.NumColorsAtIteration(h),
+                  expected.NumColorsAtIteration(h));
+      }
+    }
+  }
+}
+
+TEST_P(PreprocessEquivTest, CentralityAndFieldsMatchReference) {
+  const graph::GraphDataset reference = Reference();
+  for (const Graph& g : Corpus(reference, 1 << 20)) {
+    const int n = g.NumVertices();
+    EXPECT_TRUE(SameDoubles(graph::EigenvectorCentrality(g),
+                            ReferenceEigenvector(g)))
+        << g.ToString();
+    for (AlignmentMeasure measure : kMeasures) {
+      const std::vector<double> centrality = ReferenceCentrality(g, measure);
+      const std::vector<Vertex> sequence =
+          core::GenerateVertexSequence(g, centrality, n + 2);
+      for (int r : kFieldSizes) {
+        ASSERT_EQ(core::BuildFieldTable(g, sequence, r, centrality),
+                  ReferenceFieldTable(g, sequence, r, centrality))
+            << g.ToString() << " " << core::AlignmentMeasureName(measure)
+            << " r=" << r;
+        for (Vertex v = 0; v < n; ++v) {
+          ASSERT_EQ(core::BuildReceptiveField(g, v, r, centrality),
+                    ReferenceField(g, v, r, centrality));
+        }
+      }
+    }
+  }
+}
+
+TEST_P(PreprocessEquivTest, BuildDeepMapInputBytesMatchReference) {
+  const graph::GraphDataset reference = Reference();
+  const kernels::DatasetVertexFeatures features =
+      kernels::ComputeDatasetVertexFeatures(reference, {});
+  const int w = std::max(1, reference.MaxVertices());
+  for (AlignmentMeasure measure : kMeasures) {
+    for (int r : kFieldSizes) {
+      for (int i = 0; i < reference.size(); ++i) {
+        const nn::Tensor got = core::BuildDeepMapInput(
+            reference.graph(i), features, i, w, r, measure, nullptr);
+        const nn::Tensor want =
+            ReferenceDense(reference.graph(i), features, i, w, r, measure);
+        ASSERT_EQ(got.shape(), want.shape());
+        ASSERT_EQ(std::memcmp(got.data(), want.data(),
+                              got.flat().size() * sizeof(float)),
+                  0)
+            << GetParam() << " graph " << i << " "
+            << core::AlignmentMeasureName(measure) << " r=" << r;
+      }
+    }
+  }
+}
+
+TEST_P(PreprocessEquivTest, PreprocessSparseBytesMatchReference) {
+  const graph::GraphDataset reference = Reference();
+  const int w = std::max(1, reference.MaxVertices());
+  const std::vector<Graph> corpus = Corpus(reference, w);
+  for (AlignmentMeasure measure : kMeasures) {
+    for (int r : kFieldSizes) {
+      core::DeepMapConfig config;
+      config.alignment = measure;
+      config.receptive_field_size = r;
+      // Hashed columns keep novel WL ids in the input, so a differing id
+      // shows in the bytes.
+      config.features.max_dense_dim = 64;
+      serve::Preprocessor preprocessor(reference, config);
+      ReferenceWl wl(config.features.wl.iterations);
+      for (const Graph& g : reference.graphs()) wl.Refine(g);
+      for (const Graph& g : corpus) {
+        StatusOr<serve::SparseInput> got = preprocessor.PreprocessSparse(g);
+        ASSERT_TRUE(got.ok()) << got.status().ToString();
+        SCOPED_TRACE(GetParam() + " " + core::AlignmentMeasureName(measure) +
+                     " r=" + std::to_string(r) + " " + g.ToString());
+        ExpectSameSparse(got.value(),
+                         ReferenceSparse(g, wl, preprocessor.features(), w, r,
+                                         measure));
+      }
+    }
+  }
+}
+
+std::string TestName(const ::testing::TestParamInfo<std::string>& info) {
+  std::string name = info.param;
+  std::replace(name.begin(), name.end(), '-', '_');
+  return name;
+}
+
+INSTANTIATE_TEST_SUITE_P(Table1, PreprocessEquivTest,
+                         ::testing::ValuesIn(datasets::DatasetNames()),
+                         TestName);
+
+}  // namespace
+}  // namespace deepmap

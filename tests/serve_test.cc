@@ -23,6 +23,7 @@
 #include "nn/serialization.h"
 #include "serve/cluster.h"
 #include "serve/engine.h"
+#include "serve/preprocessor.h"
 
 namespace deepmap {
 namespace {
@@ -871,6 +872,28 @@ TEST(InferenceEngineTest, RejectsUnservableGraphs) {
   StatusOr<Prediction> too_big = engine.Classify(oversized);
   EXPECT_FALSE(too_big.ok());
   EXPECT_EQ(too_big.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(PreprocessorTest, RejectsNegativeVertexLabelsForEveryKind) {
+  datasets::DatasetOptions options;
+  options.min_graphs = 8;
+  auto dataset = datasets::MakeDataset("PTC_MM", options);
+  ASSERT_TRUE(dataset.ok());
+  graph::Graph bad = dataset.value().graph(0);
+  bad.SetLabel(bad.NumVertices() - 1, -1);
+  for (kernels::FeatureMapKind kind :
+       {kernels::FeatureMapKind::kGraphlet,
+        kernels::FeatureMapKind::kShortestPath,
+        kernels::FeatureMapKind::kWlSubtree,
+        kernels::FeatureMapKind::kTreePp}) {
+    core::DeepMapConfig config;
+    config.features.kind = kind;
+    serve::Preprocessor preprocessor(dataset.value(), config);
+    StatusOr<serve::SparseInput> input = preprocessor.PreprocessSparse(bad);
+    ASSERT_FALSE(input.ok()) << kernels::FeatureMapKindName(kind);
+    EXPECT_EQ(input.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_TRUE(preprocessor.PreprocessSparse(dataset.value().graph(0)).ok());
+  }
 }
 
 TEST(InferenceEngineTest, ConcurrentSubmittersGetConsistentAnswers) {
