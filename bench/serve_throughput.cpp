@@ -496,6 +496,11 @@ int RunChaosBench(const BenchArgs& args,
 // Cluster mode: the 256-request overload burst that saturates one engine,
 // replayed through ServeClusters of 1, 2, and 4 replicas.
 
+/// Per-replica configuration of the cluster runs (echoed under "flags").
+constexpr int kClusterMaxBatch = 16;
+constexpr size_t kClusterQueueCapacity = 128;
+constexpr size_t kClusterReplicaThreads = 1;
+
 struct ClusterRun {
   std::string label;
   int replicas = 0;  // 0 = single InferenceEngine baseline
@@ -584,9 +589,9 @@ ClusterRun RunCluster(const std::shared_ptr<serve::ServableModel>& servable,
                       size_t replicas) {
   serve::ServeCluster::Options options;
   options.num_replicas = replicas;
-  options.replica.max_batch = 16;
-  options.replica.queue_capacity = 128;
-  options.replica.num_threads = 1;
+  options.replica.max_batch = kClusterMaxBatch;
+  options.replica.queue_capacity = kClusterQueueCapacity;
+  options.replica.num_threads = kClusterReplicaThreads;
   options.cache_capacity = 0;  // every request exercises the full pipeline
   serve::ServeCluster cluster(servable, options);
 
@@ -693,8 +698,12 @@ int RunClusterBench(const BenchArgs& args,
   JsonValue doc = bench::BenchDoc("serve_cluster");
   doc.Obj("flags")
       .Set("dataset", args.dataset)
+      .Set("epochs", args.epochs)
       .Set("requests", requests.size())
-      .Set("deadline_us", 5000000);
+      .Set("deadline_us", 5000000)
+      .Set("max_batch", kClusterMaxBatch)
+      .Set("replica_queue_capacity", kClusterQueueCapacity)
+      .Set("replica_threads", kClusterReplicaThreads);
   doc.Obj("seeds").Set("admission", int64_t{kAdmissionSeed});
   doc.Set("logits_bit_identical", true);
   JsonValue& out_runs = doc.Arr("runs");

@@ -15,7 +15,8 @@ namespace {
 // updates must stay lock-free).
 obs::Counter& PoolTasksTotal() {
   static obs::Counter& counter = obs::MetricsRegistry::Default().GetCounter(
-      "deepmap_pool_tasks_total", "tasks executed by ThreadPool workers");
+      "deepmap_pool_tasks_total",
+      "tasks executed by ThreadPool helpers and Wait() callers");
   return counter;
 }
 
@@ -59,19 +60,21 @@ ThreadPool::ThreadPool(size_t num_threads) {
   if (num_threads == 0) {
     num_threads = DefaultNumThreads();
   }
-  workers_.reserve(num_threads);
-  for (size_t i = 0; i < num_threads; ++i) {
-    workers_.emplace_back([this] { WorkerLoop(); });
+  // The Wait() caller is the n-th thread.
+  helpers_.reserve(num_threads - 1);
+  for (size_t i = 1; i < num_threads; ++i) {
+    helpers_.emplace_back([this] { HelperLoop(); });
   }
 }
 
 ThreadPool::~ThreadPool() {
+  Wait();
   {
     std::unique_lock<std::mutex> lock(mu_);
     shutting_down_ = true;
   }
   task_available_.notify_all();
-  for (auto& w : workers_) w.join();
+  for (auto& h : helpers_) h.join();
 }
 
 void ThreadPool::Submit(std::function<void()> task) {
@@ -85,39 +88,37 @@ void ThreadPool::Submit(std::function<void()> task) {
 
 void ThreadPool::Wait() {
   std::unique_lock<std::mutex> lock(mu_);
+  while (!tasks_.empty()) RunFront(lock);
   all_done_.wait(lock, [this] { return in_flight_ == 0; });
 }
 
-void ThreadPool::WorkerLoop() {
+void ThreadPool::HelperLoop() {
+  std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
-    std::function<void()> task;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      task_available_.wait(lock,
-                           [this] { return shutting_down_ || !tasks_.empty(); });
-      if (tasks_.empty()) {
-        if (shutting_down_) return;
-        continue;
-      }
-      task = std::move(tasks_.front());
-      tasks_.pop();
-    }
-    // Latency fault: stalls this task (e.g. a slow preprocessing shard) to
-    // shake out ordering assumptions; never changes results, only timing.
-    if (DEEPMAP_FAILPOINT_TRIGGERED("pool.task.delay")) {
-      std::this_thread::sleep_for(std::chrono::microseconds(500));
-    }
-    {
-      PoolTasksTotal().Increment();
-      obs::ScopedStageTimer timer(&PoolTaskSeconds(), "pool.task", "pool");
-      task();
-    }
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      --in_flight_;
-      if (in_flight_ == 0) all_done_.notify_all();
-    }
+    task_available_.wait(lock,
+                         [this] { return shutting_down_ || !tasks_.empty(); });
+    if (tasks_.empty()) return;  // shutting down with nothing left to run
+    RunFront(lock);
   }
+}
+
+void ThreadPool::RunFront(std::unique_lock<std::mutex>& lock) {
+  std::function<void()> task = std::move(tasks_.front());
+  tasks_.pop();
+  lock.unlock();
+  // Latency fault: stalls this task (e.g. a slow preprocessing shard) to
+  // shake out ordering assumptions; never changes results, only timing.
+  if (DEEPMAP_FAILPOINT_TRIGGERED("pool.task.delay")) {
+    std::this_thread::sleep_for(std::chrono::microseconds(500));
+  }
+  {
+    PoolTasksTotal().Increment();
+    obs::ScopedStageTimer timer(&PoolTaskSeconds(), "pool.task", "pool");
+    task();
+  }
+  task = nullptr;  // captures die outside the lock
+  lock.lock();
+  if (--in_flight_ == 0) all_done_.notify_all();
 }
 
 void ParallelFor(size_t n, const std::function<void(size_t)>& body,

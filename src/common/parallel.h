@@ -21,28 +21,47 @@ namespace deepmap {
 /// on every call so tests and benches can re-pin mid-process.
 size_t DefaultNumThreads();
 
-/// Fixed-size worker pool executing void() tasks FIFO.
+/// Fixed-size pool executing void() tasks FIFO, in which the thread that
+/// calls Wait() is one of the workers.
+///
+/// ThreadPool(n) runs tasks on n threads: n - 1 helper threads it spawns,
+/// plus whichever thread calls Wait(), which pops and runs queued tasks
+/// itself before it blocks on the tasks still running on helpers. So
+/// ThreadPool(1) starts no thread at all: its tasks run on the Wait()
+/// caller, with no handoff and no sleep/wake round trip. The flip side is
+/// that, without helpers, a submitted task may not start before Wait() is
+/// called; callers that need the work done must call Wait() (the destructor
+/// does, so no submitted task is ever dropped).
 class ThreadPool {
  public:
-  /// Creates `num_threads` workers; 0 means DefaultNumThreads().
+  /// Runs tasks on `num_threads` threads, the Wait() caller included;
+  /// 0 means DefaultNumThreads().
   explicit ThreadPool(size_t num_threads = 0);
+  /// Runs whatever is still queued (as Wait() does), then joins the helpers.
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  /// Enqueues a task for execution.
+  /// Enqueues a task for execution by a helper or the next Wait() caller.
   void Submit(std::function<void()> task);
 
-  /// Blocks until all submitted tasks have completed.
+  /// Runs queued tasks on the calling thread until the queue is empty, then
+  /// blocks until every submitted task has completed.
   void Wait();
 
-  size_t num_threads() const { return workers_.size(); }
+  /// Threads that run tasks: the helpers plus the Wait() caller. Callers
+  /// size their sharding by it.
+  size_t num_threads() const { return helpers_.size() + 1; }
 
  private:
-  void WorkerLoop();
+  void HelperLoop();
+  /// Pops the front task and runs it with `lock` released; `lock` holds mu_
+  /// on entry and on return. The one task-running routine, shared by the
+  /// helpers and the Wait() caller.
+  void RunFront(std::unique_lock<std::mutex>& lock);
 
-  std::vector<std::thread> workers_;
+  std::vector<std::thread> helpers_;
   std::queue<std::function<void()>> tasks_;
   std::mutex mu_;
   std::condition_variable task_available_;

@@ -27,6 +27,13 @@ Status DeadlineError(const char* stage) {
       std::string("request deadline expired (stage=") + stage + ")");
 }
 
+std::future<StatusOr<Prediction>> Rejected(Status status) {
+  std::promise<StatusOr<Prediction>> rejected;
+  std::future<StatusOr<Prediction>> f = rejected.get_future();
+  rejected.set_value(StatusOr<Prediction>(std::move(status)));
+  return f;
+}
+
 }  // namespace
 
 ServeCluster::ServeCluster(std::shared_ptr<ServableModel> model,
@@ -162,14 +169,10 @@ StatusOr<Prediction> ServeCluster::ClassifyDelta(
   StatusOr<DeltaResult> delta = dynamic_graphs_.ApplyDelta(id, updates);
   if (!delta.ok()) return delta.status();
   metrics_.RecordDynamicUpdate(delta.value().applied);
+  // The pre-delta structure's entry stays: its key is an exact digest and
+  // its answer a pure function of that graph, so it is still correct, and a
+  // delta that undoes this one hits it. The LRU capacity bounds the cache.
   if (options_.cache_capacity > 0) {
-    // Erase exactly the pre-delta structure's entry. With exact keys it is
-    // not stale, but keeping it would add a cache entry per delta. (A no-op
-    // delta leaves the keys equal — never drop the entry about to be looked
-    // up.)
-    if (delta.value().old_key != delta.value().new_key) {
-      cache_.Erase(delta.value().old_key);
-    }
     if (std::optional<Prediction> hit = cache_.Lookup(delta.value().new_key)) {
       metrics_.RecordDynamicIncrementalHit();
       RequestTiming timing;
@@ -180,13 +183,14 @@ StatusOr<Prediction> ServeCluster::ClassifyDelta(
       return std::move(*hit);
     }
   }
-  // Miss: normal dispatch on the mutated snapshot, reusing the key the
-  // store computed and skipping the second lookup (the miss above is the
-  // one the cache counters should see).
+  // Miss: normal dispatch under the key the store computed, with the
+  // snapshot the store already copied out moved into the request. The
+  // lookup above is the one the cache counters should see; there is no
+  // second.
   metrics_.RecordDynamicFullRecompute();
-  return SubmitInternal(delta.value().graph, request, /*target=*/-1,
-                        std::move(delta.value().new_key),
-                        /*lookup_cache=*/false)
+  return Dispatch(std::move(delta.value().graph), request, /*target=*/-1,
+                  std::move(delta.value().new_key),
+                  std::chrono::steady_clock::now())
       .get();
 }
 
@@ -230,58 +234,63 @@ void ServeCluster::OnRequestComplete(const ServeRequest& request) {
 }
 
 std::future<StatusOr<Prediction>> ServeCluster::SubmitInternal(
-    const graph::Graph& g, const RequestOptions& request, int target,
-    std::string cache_key, bool lookup_cache) {
+    const graph::Graph& g, const RequestOptions& request, int target) {
   DEEPMAP_TRACE_SPAN("serve.cluster.submit", "serve");
   const auto start = std::chrono::steady_clock::now();
+
+  // Stage "admission": a request that arrives already expired never costs a
+  // hash, a queue slot, or a batch.
+  if (request.deadline.has_value() && Expired(*request.deadline)) {
+    metrics_.RecordDeadlineExceeded("admission");
+    return Rejected(DeadlineError("admission"));
+  }
+
+  std::string cache_key;
+  if (options_.cache_capacity > 0) {
+    cache_key = PredictionCache::KeyFor(g, options_.cache_wl_iterations);
+    if (std::optional<Prediction> hit = cache_.Lookup(cache_key)) {
+      RequestTiming timing;
+      timing.cache_hit = true;
+      timing.total_us = MicrosSince(start, std::chrono::steady_clock::now());
+      metrics_.RecordRequest(timing);
+      metrics_.RecordOutcome(ServeOutcome::kOk);
+      std::promise<StatusOr<Prediction>> answered;
+      answered.set_value(std::move(*hit));
+      return answered.get_future();
+    }
+  }
+  // A miss: the request's one copy of the caller's graph.
+  return Dispatch(g, request, target, std::move(cache_key), start);
+}
+
+std::future<StatusOr<Prediction>> ServeCluster::Dispatch(
+    graph::Graph g, const RequestOptions& request, int target,
+    std::string cache_key, std::chrono::steady_clock::time_point start) {
   ServeRequest queued;
+  queued.graph = std::move(g);
+  queued.cache_key = std::move(cache_key);
   queued.enqueue_time = start;
   queued.tenant = request.tenant;
   if (request.deadline.has_value()) queued.deadline = *request.deadline;
   std::future<StatusOr<Prediction>> future = queued.promise.get_future();
 
-  auto reject = [&](Status status) {
-    std::promise<StatusOr<Prediction>> rejected;
-    std::future<StatusOr<Prediction>> f = rejected.get_future();
-    rejected.set_value(StatusOr<Prediction>(std::move(status)));
-    return f;
-  };
-
-  // Stage "admission": a request that arrives already expired never costs a
-  // hash, a queue slot, or a batch.
-  if (Expired(queued.deadline)) {
-    metrics_.RecordDeadlineExceeded("admission");
-    return reject(DeadlineError("admission"));
-  }
-
-  if (options_.cache_capacity > 0) {
-    queued.cache_key =
-        cache_key.empty()
-            ? PredictionCache::KeyFor(g, options_.cache_wl_iterations)
-            : std::move(cache_key);
-    if (lookup_cache) {
-      if (std::optional<Prediction> hit = cache_.Lookup(queued.cache_key)) {
-        RequestTiming timing;
-        timing.cache_hit = true;
-        timing.total_us = MicrosSince(start, std::chrono::steady_clock::now());
-        metrics_.RecordRequest(timing);
-        metrics_.RecordOutcome(ServeOutcome::kOk);
-        queued.promise.set_value(std::move(*hit));
-        return future;
-      }
-    }
-  }
-
-  // Reserve a pending slot and a tenant slot under the dispatch lock. The
-  // pending count is bumped BEFORE the queue push so a worker popping the
-  // request can never observe pending going negative — the drain/stop
-  // protocol depends on pending being an upper bound on queued work.
+  // Admission and enqueue are one critical section under the dispatch lock.
+  // Idle workers evaluate their wait predicate (the queue depths) under
+  // that lock, so a worker either sees the request or is already blocked
+  // when the notify below arrives. Enqueued outside it, the request could
+  // land between a worker's predicate and its block and sleep in the queue
+  // until some later Submit woke the worker. The lock order dispatch ->
+  // replica queue is the one Supervisor::Redispatch uses. The pending count
+  // rises in the same section, before any worker that popped the request
+  // can take this lock to lower it, so pending stays an upper bound on
+  // queued work (the drain/stop protocol depends on it).
+  bool enqueued = false;
+  bool any_healthy = true;
   {
     std::lock_guard<std::mutex> lock(dispatch_.mu);
     if (dispatch_.stopping) {
       metrics_.RecordRejected();
-      return reject(
-          Status::FailedPrecondition("cluster is shutting down"));
+      return Rejected(Status::FailedPrecondition("cluster is shutting down"));
     }
     if (dispatch_.draining > 0) {
       // A Drain() is waiting for the backlog to hit zero; admitting more
@@ -289,77 +298,66 @@ std::future<StatusOr<Prediction>> ServeCluster::SubmitInternal(
       // under sustained traffic). Typed and retryable: once Drain returns,
       // resubmitting succeeds.
       metrics_.RecordRejected();
-      return reject(Status::Unavailable(
+      return Rejected(Status::Unavailable(
           "cluster is draining; retry after Drain() returns"));
     }
-    if (ShouldShedTenantLocked(queued.tenant)) {
+    if (ShouldShedTenantLocked(request.tenant)) {
       metrics_.RecordShed();
       cluster_metrics_.RecordTenantShed();
-      return reject(Status::ResourceExhausted(
-          "fair-share admission shed request (tenant \"" + queued.tenant +
+      return Rejected(Status::ResourceExhausted(
+          "fair-share admission shed request (tenant \"" + request.tenant +
           "\" at share, cluster backlog " +
           std::to_string(dispatch_.pending) + ")"));
     }
-    ++dispatch_.pending;
-    ++tenant_inflight_[queued.tenant];
-  }
-
-  queued.graph = g;
-  bool enqueued = false;
-  bool any_healthy = true;
-  if (target >= 0) {
-    enqueued = replicas_[static_cast<size_t>(target)]->TryEnqueue(
-        std::move(queued));
-  } else {
-    // Join-shortest-queue over the healthy replicas with a rotating
-    // tie-break; on a full queue, fall through to the next-shortest instead
-    // of rejecting outright. An unhealthy replica's worker is hung, dead,
-    // or restarting — queueing behind it would strand the request until
-    // the supervisor recovered it a second time.
-    std::vector<size_t> order;
-    order.reserve(replicas_.size());
-    for (size_t i = 0; i < replicas_.size(); ++i) {
-      if (replicas_[i]->health() == ReplicaHealth::kHealthy) {
-        order.push_back(i);
-      }
-    }
-    any_healthy = !order.empty();
-    if (any_healthy) {
-      const size_t base =
-          rr_cursor_.fetch_add(1, std::memory_order_relaxed) % order.size();
-      std::rotate(order.begin(),
-                  order.begin() + static_cast<ptrdiff_t>(base), order.end());
-      std::stable_sort(order.begin(), order.end(),
-                       [this](size_t a, size_t b) {
-                         return replicas_[a]->depth() <
-                                replicas_[b]->depth();
-                       });
-      for (size_t idx : order) {
-        if (replicas_[idx]->TryEnqueue(std::move(queued))) {
-          enqueued = true;
-          break;
+    if (target >= 0) {
+      enqueued = replicas_[static_cast<size_t>(target)]->TryEnqueue(
+          std::move(queued));
+    } else {
+      // Join-shortest-queue over the healthy replicas with a rotating
+      // tie-break; on a full queue, fall through to the next-shortest
+      // instead of rejecting outright. An unhealthy replica's worker is
+      // hung, dead, or restarting — queueing behind it would strand the
+      // request until the supervisor recovered it a second time.
+      std::vector<size_t> order;
+      order.reserve(replicas_.size());
+      for (size_t i = 0; i < replicas_.size(); ++i) {
+        if (replicas_[i]->health() == ReplicaHealth::kHealthy) {
+          order.push_back(i);
         }
       }
+      any_healthy = !order.empty();
+      if (any_healthy) {
+        const size_t base = rr_cursor_++ % order.size();
+        std::rotate(order.begin(),
+                    order.begin() + static_cast<ptrdiff_t>(base), order.end());
+        std::stable_sort(order.begin(), order.end(),
+                         [this](size_t a, size_t b) {
+                           return replicas_[a]->depth() <
+                                  replicas_[b]->depth();
+                         });
+        for (size_t idx : order) {
+          if (replicas_[idx]->TryEnqueue(std::move(queued))) {
+            enqueued = true;
+            break;
+          }
+        }
+      }
+    }
+    if (enqueued) {
+      ++dispatch_.pending;
+      ++tenant_inflight_[request.tenant];
     }
   }
 
   if (!enqueued) {
-    // Give the reserved slots back; the promise is still ours to fulfill
-    // (TryEnqueue only consumes the request on success).
-    {
-      std::lock_guard<std::mutex> lock(dispatch_.mu);
-      --dispatch_.pending;
-      auto it = tenant_inflight_.find(request.tenant);
-      if (it != tenant_inflight_.end() && --it->second <= 0) {
-        tenant_inflight_.erase(it);
-      }
-    }
+    // TryEnqueue only consumes the request on success, and nothing was
+    // reserved for it.
     metrics_.RecordRejected();
     if (!any_healthy) {
-      return reject(Status::Unavailable(
+      return Rejected(Status::Unavailable(
           "no healthy replica available (cluster self-healing)"));
     }
-    return reject(Status::ResourceExhausted(
+    return Rejected(Status::ResourceExhausted(
         target >= 0 ? "replica queue is full (cluster overloaded)"
                     : "every replica queue is full (cluster overloaded)"));
   }

@@ -41,7 +41,7 @@
 #ifndef DEEPMAP_SERVE_CLUSTER_H_
 #define DEEPMAP_SERVE_CLUSTER_H_
 
-#include <atomic>
+#include <chrono>
 #include <future>
 #include <memory>
 #include <string>
@@ -106,10 +106,11 @@ class ServeCluster {
 
   /// Dynamic-graph serving, mirroring InferenceEngine: register a
   /// long-lived graph, then classify edge deltas against it. ClassifyDelta
-  /// applies the delta with an O(1) per-edge key update, erases exactly the
-  /// cache entry of the pre-delta structure (never Clear()), and on a cache
-  /// miss runs the mutated graph through the normal dispatch path — logits
-  /// are bit-identical to a fresh Submit of that graph.
+  /// applies the delta with an O(1) per-edge key update and looks the new
+  /// key up; the pre-delta structure's entry is kept (exact keys make it
+  /// still correct, so a delta that undoes this one hits it). On a miss the
+  /// mutated graph runs through the normal dispatch path — logits are
+  /// bit-identical to a fresh Submit of that graph.
   Status RegisterDynamicGraph(const std::string& id, graph::Graph g);
   Status UnregisterDynamicGraph(const std::string& id);
   StatusOr<Prediction> ClassifyDelta(
@@ -161,13 +162,19 @@ class ServeCluster {
   EngineReplica* mutable_replica(size_t i) { return replicas_[i].get(); }
 
  private:
-  /// Shared admission path; `target` < 0 means join-shortest-queue.
-  /// `cache_key` empty = compute it here; `lookup_cache` false = skip the
-  /// admission-time lookup but still warm the cache under the key (the
-  /// ClassifyDelta miss path, which already looked the key up).
+  /// Submit path: deadline check, cache key and lookup, then Dispatch of a
+  /// copy of `g` on a miss. `target` < 0 means join-shortest-queue.
   std::future<StatusOr<Prediction>> SubmitInternal(
-      const graph::Graph& g, const RequestOptions& request, int target,
-      std::string cache_key = std::string(), bool lookup_cache = true);
+      const graph::Graph& g, const RequestOptions& request, int target);
+
+  /// Admission (shutdown, drain, fair share) and enqueue of a cache miss,
+  /// which takes ownership of `g`; the cache is warmed under `cache_key`
+  /// (empty = caching disabled) after the forward pass. `start` is the
+  /// request's enqueue time. Shared by SubmitInternal and the
+  /// ClassifyDelta miss path, which moves its snapshot in.
+  std::future<StatusOr<Prediction>> Dispatch(
+      graph::Graph g, const RequestOptions& request, int target,
+      std::string cache_key, std::chrono::steady_clock::time_point start);
 
   /// Fair-share verdict for `tenant` given the current backlog. Called with
   /// dispatch_.mu held.
@@ -193,7 +200,8 @@ class ServeCluster {
 
   /// Rotates the join-shortest-queue tie-break so equal-depth replicas
   /// receive round-robin traffic instead of all landing on replica 0.
-  std::atomic<size_t> rr_cursor_{0};
+  /// Guarded by dispatch_.mu.
+  size_t rr_cursor_ = 0;
 
   std::vector<std::unique_ptr<EngineReplica>> replicas_;
   std::unique_ptr<Supervisor> supervisor_;

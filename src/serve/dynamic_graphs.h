@@ -6,9 +6,9 @@
 // rescanning the graph, and the store hands back the BEFORE and AFTER
 // prediction-cache keys of the mutation — always equal to
 // PredictionCache::KeyFor of the pre- and post-delta snapshots. The caller
-// erases the old key and looks up the new one (a delta-then-revert
-// sequence, or a registered graph returning to a structure classified
-// before, hits without running the model).
+// looks up the new key (a delta-then-revert sequence, or a registered graph
+// returning to a structure classified before, hits without running the
+// model).
 //
 // Locking is two-level: a store mutex guards the id map, a per-entry mutex
 // serializes deltas against the same graph. Deltas on different graphs

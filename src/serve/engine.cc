@@ -233,14 +233,10 @@ StatusOr<Prediction> InferenceEngine::ClassifyDelta(
   StatusOr<DeltaResult> delta = dynamic_graphs_.ApplyDelta(id, updates);
   if (!delta.ok()) return delta.status();
   metrics_.RecordDynamicUpdate(delta.value().applied);
+  // The pre-delta structure's entry stays: its key is an exact digest and
+  // its answer a pure function of that graph, so it is still correct, and a
+  // delta that undoes this one hits it. The LRU capacity bounds the cache.
   if (options_.cache_capacity > 0) {
-    // Erase exactly the pre-delta structure's entry. With exact keys it is
-    // not stale, but keeping it would add a cache entry per delta. (A no-op
-    // delta leaves the keys equal — never drop the entry about to be looked
-    // up.)
-    if (delta.value().old_key != delta.value().new_key) {
-      cache_.Erase(delta.value().old_key);
-    }
     if (std::optional<Prediction> hit = cache_.Lookup(delta.value().new_key)) {
       metrics_.RecordDynamicIncrementalHit();
       RequestTiming timing;

@@ -104,8 +104,9 @@ class InferenceEngine {
     /// each with its own mutex + LRU list, so concurrent submitters don't
     /// serialize on one cache lock. 1 = the historical single-lock cache.
     size_t cache_shards = 4;
-    /// Worker threads for preprocessing / forward sharding; 0 = hardware
-    /// concurrency.
+    /// Threads for preprocessing / forward sharding, the dispatcher thread
+    /// included (it runs tasks while it waits on them, so the pool spawns
+    /// num_threads - 1 helpers); 0 = DefaultNumThreads().
     size_t num_threads = 0;
     AdmissionOptions admission;
     RetryOptions retry;
@@ -141,9 +142,9 @@ class InferenceEngine {
 
   /// Dynamic-graph serving. Register a long-lived graph once, then classify
   /// edge deltas against it: ClassifyDelta applies the delta (an O(1)
-  /// digest update per edge, not a full rehash), erases exactly the cache
-  /// entry of the pre-delta structure, and answers from cache when the
-  /// post-delta structure has been classified before — otherwise it runs
+  /// digest update per edge, not a full rehash) and answers from cache when
+  /// the post-delta structure has been classified before (the pre-delta
+  /// structure's entry is kept, so undoing a delta hits) — otherwise it runs
   /// the full pipeline on the mutated graph, so the returned logits are
   /// bit-identical to a fresh Classify of that graph.
   Status RegisterDynamicGraph(const std::string& id, graph::Graph g);

@@ -92,9 +92,9 @@ class PredictionCache {
   void Insert(const std::string& key, Prediction prediction);
 
   /// Removes exactly `key` from its shard, if present. Returns whether an
-  /// entry was dropped. This is the surgical alternative to Clear() for
-  /// dynamic-graph updates: only the stale entry of the mutated graph is
-  /// invalidated, every other cached prediction stays warm.
+  /// entry was dropped. The serve path never calls it (exact keys never go
+  /// stale, so ClassifyDelta keeps the pre-delta entry); servebench's
+  /// replay still does.
   bool Erase(const std::string& key);
 
   /// Drops every entry in every shard. Hit/miss/eviction counters are

@@ -27,7 +27,10 @@
 // EngineReplica owns a bounded deque (its slice of the cluster's admission
 // capacity), a private ThreadPool (ThreadPool::Wait is a whole-pool
 // barrier, so replicas cannot share one), and a worker thread that pops its
-// own queue FIFO — and, when idle, steals the front half of the longest
+// own queue FIFO. The pool is caller-runs: the worker, blocked in Wait(),
+// runs the batch's preprocessing and forward tasks itself, so a one-thread
+// replica executes its whole batch on its worker with no handoff. When
+// idle, the worker steals the front half of the longest
 // *healthy* sibling queue, so a burst routed to one replica is drained by
 // all of them. Replicas coordinate through DispatchState: one mutex/cv pair
 // for wakeup and drain, plus the pending/active/detached counts that make
@@ -154,13 +157,17 @@ struct DispatchState {
   bool stopping = false;
 };
 
-/// One serving replica: bounded queue + worker thread + private pool.
+/// One serving replica: bounded queue + worker thread + private
+/// caller-runs pool.
 class EngineReplica {
  public:
   struct Options {
     int max_batch = 32;
     size_t queue_capacity = 256;
-    /// Worker threads of the replica's private preprocessing/forward pool.
+    /// Threads that run the replica's preprocessing/forward tasks, the
+    /// replica's worker included (it runs tasks while it waits on them); the
+    /// private pool spawns num_threads - 1 helpers. Sets the forward
+    /// sharding too.
     size_t num_threads = 1;
     /// Admit queued arrivals into the in-flight batch after its preprocess
     /// stage (continuous batching). Off = plain pop-and-run batches.

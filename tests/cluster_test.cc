@@ -1,7 +1,8 @@
 // Tests for ServeCluster: cluster-vs-single-engine prediction equivalence,
 // the N=1 degenerate case, deterministic work stealing under skewed load,
-// continuous batching, per-tenant fair-share admission, and cluster outcome
-// accounting. Races are pinned with fail-point gates, never sleeps.
+// continuous batching, per-tenant fair-share admission, cluster outcome
+// accounting, and wakeup of an idle worker by every Submit. Races are
+// pinned with fail-point gates, never sleeps.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -455,6 +456,36 @@ TEST(ServeClusterTest, FairShareCapsNoisyTenantAdmitsQuietOne) {
   EXPECT_EQ(cluster.metrics().outcome_count(ServeOutcome::kOk), 7);
   EXPECT_EQ(cluster.metrics().outcome_count(ServeOutcome::kShed), 3);
   EXPECT_EQ(cluster.metrics().total_outcomes(), 10);
+}
+
+TEST(ServeClusterTest, SerialSubmitsNeverSleepInTheQueue) {
+  // One replica, caching off, one request in flight at a time: every
+  // Submit must wake the idle worker. A request enqueued after the worker
+  // found its queue empty but before it blocked, with the notify landing in
+  // that gap, would wait for the next Submit to wake the worker; the bound
+  // below catches such a stranded request. Stranded futures are collected,
+  // not waited on: only a later Submit or the cluster's shutdown (which
+  // wakes every worker and drains its queue) answers them.
+  TrainedBundle& b = Bundle();
+  constexpr int kRequests = 1000;
+  constexpr auto kResolveBound = std::chrono::seconds(2);
+  int stranded = 0;
+  std::vector<std::future<StatusOr<Prediction>>> late;
+  {
+    ServeCluster cluster(b.servable, UncachedClusterOptions(1));
+    for (int i = 0; i < kRequests; ++i) {
+      std::future<StatusOr<Prediction>> f =
+          cluster.Submit(b.dataset.graph(i % b.dataset.size()));
+      if (f.wait_for(kResolveBound) != std::future_status::ready) {
+        ++stranded;
+        late.push_back(std::move(f));
+        continue;
+      }
+      ASSERT_TRUE(f.get().ok());
+    }
+  }
+  EXPECT_EQ(stranded, 0);
+  for (auto& f : late) ASSERT_TRUE(MustResolve(f).ok());
 }
 
 TEST(ServeClusterTest, QueueOverflowRejectsWithResourceExhausted) {

@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <mutex>
 #include <set>
 #include <sstream>
+#include <thread>
+#include <vector>
 
 #include "common/parallel.h"
 #include "common/rng.h"
@@ -118,12 +121,46 @@ TEST(ParallelTest, ZeroItemsIsNoop) {
 
 TEST(ThreadPoolTest, ExecutesAllTasks) {
   ThreadPool pool(3);
+  EXPECT_EQ(pool.num_threads(), 3u);
   std::atomic<int> count{0};
+  std::mutex mu;
+  std::set<std::thread::id> ran_on;
   for (int i = 0; i < 50; ++i) {
-    pool.Submit([&count] { count++; });
+    pool.Submit([&] {
+      count++;
+      std::lock_guard<std::mutex> lock(mu);
+      ran_on.insert(std::this_thread::get_id());
+    });
   }
   pool.Wait();
   EXPECT_EQ(count.load(), 50);
+  // Two helpers plus the Wait() caller.
+  EXPECT_LE(ran_on.size(), 3u);
+}
+
+TEST(ThreadPoolTest, OneThreadPoolRunsTasksOnTheWaitCaller) {
+  ThreadPool pool(1);
+  EXPECT_EQ(pool.num_threads(), 1u);
+  std::vector<std::thread::id> ran_on;
+  for (int i = 0; i < 8; ++i) {
+    pool.Submit([&ran_on] { ran_on.push_back(std::this_thread::get_id()); });
+  }
+  // No helper thread exists, so nothing runs before the caller waits.
+  EXPECT_TRUE(ran_on.empty());
+  pool.Wait();
+  ASSERT_EQ(ran_on.size(), 8u);
+  for (const std::thread::id& id : ran_on) {
+    EXPECT_EQ(id, std::this_thread::get_id());
+  }
+}
+
+TEST(ThreadPoolTest, DestructorRunsTasksNeverWaitedFor) {
+  std::atomic<int> count{0};
+  {
+    ThreadPool pool(1);
+    for (int i = 0; i < 5; ++i) pool.Submit([&count] { ++count; });
+  }
+  EXPECT_EQ(count.load(), 5);
 }
 
 TEST(StringUtilTest, SplitBasic) {

@@ -1,12 +1,13 @@
 // Dynamic-graph serving: ClassifyDelta must answer with logits bit-identical
-// to a fresh Classify of the mutated graph, erase exactly the pre-delta
-// cache entry (unrelated entries survive), hit the cache on a revert, and
+// to a fresh Classify of the mutated graph, erase no cache entry (unrelated
+// and pre-delta entries survive), hit the cache on a revert or undo, and
 // account every delta in the deepmap_serve_dynamic_* counters; the store's
 // incrementally maintained key must always equal KeyFor of its snapshot.
 // Covers both the single InferenceEngine and the ServeCluster front ends.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstring>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -81,6 +82,16 @@ InferenceEngine::Options SmallEngineOptions(size_t cache_capacity = 64) {
   return o;
 }
 
+/// Same label and byte-identical probabilities (EXPECT_EQ on the vector
+/// would let -0.0 match 0.0).
+void ExpectSameBytes(const Prediction& got, const Prediction& want) {
+  EXPECT_EQ(got.label, want.label);
+  ASSERT_EQ(got.probabilities.size(), want.probabilities.size());
+  EXPECT_EQ(std::memcmp(got.probabilities.data(), want.probabilities.data(),
+                        want.probabilities.size() * sizeof(float)),
+            0);
+}
+
 /// A base graph with an edge to play with: vertex labels drawn from the
 /// training alphabet so preprocessing succeeds.
 graph::Graph BaseGraph() {
@@ -130,16 +141,18 @@ TEST(DynamicServeTest, ExactInvalidationPreservesUnrelatedEntries) {
   for (int i = 0; i < kUnrelated; ++i) {
     ASSERT_TRUE(engine.Classify(b.dataset.graph(i)).ok());
   }
-  // And with the registered graph's own pre-delta structure.
-  ASSERT_TRUE(engine.Classify(BaseGraph()).ok());
+  // And with the registered graph's own pre-delta structure (a miss, so
+  // this is the model's fresh answer for it).
+  auto pre_delta = engine.Classify(BaseGraph());
+  ASSERT_TRUE(pre_delta.ok());
   const size_t warmed = engine.cache().size();
   EXPECT_GE(warmed, 1u);
 
-  // The delta must erase exactly the pre-delta entry; the post-delta result
-  // is inserted, and every unrelated entry survives (previously the serving
-  // layer would Clear() the whole cache on any mutation).
+  // The delta inserts the post-delta result and erases nothing: every
+  // unrelated entry survives (previously the serving layer would Clear()
+  // the whole cache on any mutation), and so does the pre-delta entry.
   ASSERT_TRUE(engine.ClassifyDelta("g", {EdgeUpdate::Insert(0, 2)}).ok());
-  EXPECT_EQ(engine.cache().size(), warmed);  // -1 pre-delta +1 fresh
+  EXPECT_EQ(engine.cache().size(), warmed + 1);
 
   // The unrelated graphs are still hits.
   const int64_t hits_before = engine.cache().hits();
@@ -148,10 +161,15 @@ TEST(DynamicServeTest, ExactInvalidationPreservesUnrelatedEntries) {
   }
   EXPECT_EQ(engine.cache().hits(), hits_before + kUnrelated);
 
-  // The pre-delta structure was invalidated: classifying it again misses.
+  // The pre-delta structure's entry was kept (its exact key still names
+  // that graph): classifying it again hits and returns the fresh answer's
+  // bytes.
   const int64_t misses_before = engine.cache().misses();
-  ASSERT_TRUE(engine.Classify(BaseGraph()).ok());
-  EXPECT_EQ(engine.cache().misses(), misses_before + 1);
+  auto again = engine.Classify(BaseGraph());
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(engine.cache().misses(), misses_before);
+  EXPECT_EQ(engine.cache().hits(), hits_before + kUnrelated + 1);
+  ExpectSameBytes(again.value(), pre_delta.value());
 }
 
 TEST(DynamicServeTest, DeltaThenRevertIsIncrementalHit) {
@@ -313,6 +331,37 @@ TEST(DynamicServeTest, ClusterClassifyDeltaMatchesEngine) {
   // the entry the miss path above just warmed.
   ASSERT_TRUE(cluster.ClassifyDelta("g", {}).ok());
   EXPECT_EQ(cluster.metrics().dynamic_incremental_hits(), 1);
+}
+
+TEST(DynamicServeTest, ClusterUndoDeltaHitsPreDeltaEntry) {
+  TrainedBundle& b = Bundle();
+  ServeCluster::Options options;
+  options.num_replicas = 2;
+  options.cache_capacity = 64;
+  options.replica.num_threads = 1;
+  ServeCluster cluster(b.servable, options);
+  ASSERT_TRUE(cluster.RegisterDynamicGraph("g", BaseGraph()).ok());
+  InferenceEngine oracle(b.servable, SmallEngineOptions(0));
+
+  // Two structure-changing deltas: each misses and warms its own entry.
+  graph::Graph shadow = BaseGraph();
+  ASSERT_TRUE(shadow.AddEdge(0, 3));
+  ASSERT_TRUE(cluster.ClassifyDelta("g", {EdgeUpdate::Insert(0, 3)}).ok());
+  ASSERT_TRUE(cluster.ClassifyDelta("g", {EdgeUpdate::Insert(1, 4)}).ok());
+  EXPECT_EQ(cluster.metrics().dynamic_full_recomputes(), 2);
+  EXPECT_EQ(cluster.cache().size(), 2u);
+
+  // Undoing the second delta returns to the structure the first one left:
+  // the entry that delta warmed is still there, so the undo is an
+  // incremental hit, with the model's answer for that graph to the byte.
+  auto undo = cluster.ClassifyDelta("g", {EdgeUpdate::Remove(1, 4)});
+  ASSERT_TRUE(undo.ok()) << undo.status().ToString();
+  EXPECT_EQ(cluster.metrics().dynamic_incremental_hits(), 1);
+  EXPECT_EQ(cluster.metrics().dynamic_full_recomputes(), 2);
+  EXPECT_EQ(cluster.cache().size(), 2u);
+  auto fresh = oracle.Classify(shadow);
+  ASSERT_TRUE(fresh.ok());
+  ExpectSameBytes(undo.value(), fresh.value());
 }
 
 TEST(DynamicServeTest, DynamicCountersAppearInPrometheusScrape) {

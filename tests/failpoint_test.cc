@@ -180,6 +180,20 @@ TEST(FailPointTest, ThreadPoolDelayFaultPreservesSemantics) {
   EXPECT_GT(registry.triggers("pool.task.delay"), 0);
 }
 
+TEST(FailPointTest, ThreadPoolDelayFaultFiresOnCallerRunTasks) {
+  FailPointGuard guard;
+  FailPointRegistry& registry = FailPointRegistry::Instance();
+  registry.Enable("pool.task.delay", FailPointSpec::Always());
+  ThreadPool pool(1);  // no helpers: Wait() runs every task itself
+  std::atomic<int> done{0};
+  for (int i = 0; i < 4; ++i) {
+    pool.Submit([&] { ++done; });
+  }
+  pool.Wait();
+  EXPECT_EQ(done.load(), 4);
+  EXPECT_EQ(registry.triggers("pool.task.delay"), 4);
+}
+
 TEST(FailPointTest, ConcurrentEvaluationIsSafe) {
   FailPointGuard guard;
   FailPointRegistry& registry = FailPointRegistry::Instance();
