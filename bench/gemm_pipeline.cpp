@@ -284,6 +284,19 @@ int main(int argc, char** argv) {
   // --- JSON ----------------------------------------------------------------
   using bench::JsonValue;
   JsonValue doc = bench::BenchDoc("gemm_pipeline");
+  doc.Obj("flags")
+      .Set("dataset", "COLLAB")
+      .Set("scale", dopts.scale)
+      .Set("min_graphs", dopts.min_graphs)
+      .Set("max_dense_dim", kDenseDimCap)
+      .Set("train_epochs", config.train.epochs)
+      .Set("parallel_threads", 8);
+  doc.Obj("seeds")
+      .Set("gemm_a", 21)
+      .Set("gemm_b", 22)
+      .Set("dataset", dopts.seed)
+      .Set("legacy_inputs", config.seed + 0x5eed)
+      .Set("train", config.train.seed);
   JsonValue& gemm = doc.Arr("gemm");
   for (const GemmRow& r : gemm_rows) {
     const double gflop = 2.0 * r.m * r.k * r.n / 1e9;

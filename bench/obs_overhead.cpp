@@ -25,12 +25,12 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <future>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "bench_json.h"
 #include "common/stopwatch.h"
 #include "core/deepmap.h"
 #include "datasets/registry.h"
@@ -262,35 +262,35 @@ int main(int argc, char** argv) {
       on.per_request_us, 100.0 * tracing_slowdown);
 
   const bool pass = overhead_fraction < 0.02;
-  std::ofstream out(args.out);
-  if (!out) {
-    std::fprintf(stderr, "cannot write %s\n", args.out.c_str());
-    return 1;
-  }
-  char buf[1024];
-  std::snprintf(
-      buf, sizeof(buf),
-      "{\n"
-      "  \"bench\": \"obs_overhead\",\n"
-      "  \"dataset\": \"%s\",\n"
-      "  \"requests\": %d,\n"
-      "  \"counter_ns\": %.2f,\n"
-      "  \"histogram_ns\": %.2f,\n"
-      "  \"disabled_span_ns\": %.2f,\n"
-      "  \"per_request_us_tracing_off\": %.2f,\n"
-      "  \"per_request_us_tracing_on\": %.2f,\n"
-      "  \"instrument_updates_per_request\": %.2f,\n"
-      "  \"overhead_us_per_request\": %.4f,\n"
-      "  \"overhead_fraction\": %.5f,\n"
-      "  \"budget_fraction\": 0.02,\n"
-      "  \"pass\": %s\n"
-      "}\n",
-      args.dataset.c_str(), args.requests, costs.counter_ns,
-      costs.histogram_ns, costs.disabled_span_ns, off.per_request_us,
-      on.per_request_us, updates_per_request, overhead_us_per_request,
-      overhead_fraction, pass ? "true" : "false");
-  out << buf;
-  std::printf("\nwrote %s\n", args.out.c_str());
+  using bench::JsonValue;
+  JsonValue doc = bench::BenchDoc("obs_overhead");
+  doc.Obj("flags")
+      .Set("dataset", args.dataset)
+      .Set("requests", args.requests)
+      .Set("epochs", args.epochs)
+      .Set("min_graphs", options.min_graphs);
+  doc.Obj("seeds")
+      .Set("dataset", options.seed)
+      .Set("model", config.seed)
+      .Set("train", config.train.seed);
+  doc.Obj("primitives_ns")
+      .Set("counter", JsonValue::Fixed(costs.counter_ns, 2))
+      .Set("histogram", JsonValue::Fixed(costs.histogram_ns, 2))
+      .Set("disabled_span", JsonValue::Fixed(costs.disabled_span_ns, 2));
+  doc.Obj("serve")
+      .Set("per_request_us_tracing_off",
+           JsonValue::Fixed(off.per_request_us, 2))
+      .Set("per_request_us_tracing_on",
+           JsonValue::Fixed(on.per_request_us, 2))
+      .Set("instrument_updates_per_request",
+           JsonValue::Fixed(updates_per_request, 2));
+  doc.Obj("budget")
+      .Set("overhead_us_per_request",
+           JsonValue::Fixed(overhead_us_per_request, 4))
+      .Set("overhead_fraction", JsonValue::Fixed(overhead_fraction, 5))
+      .Set("budget_fraction", 0.02)
+      .Set("pass", pass);
+  if (!bench::WriteBenchFile(args.out, doc)) return 1;
 
   if (!pass) {
     std::fprintf(stderr,

@@ -67,10 +67,13 @@ struct Row {
   bool acceptance = false;  // the >= 10x gate applies to this row
 };
 
+/// Columns of the propagated feature matrix X.
+constexpr int kFeatureColumns = 32;
+
 Row BenchGraph(const std::string& generator, const graph::Graph& g,
                bool acceptance) {
   const int n = g.NumVertices();
-  const int c = 32;
+  const int c = kFeatureColumns;
   Rng rng(0xFEA7u + static_cast<uint64_t>(n));
   nn::Tensor x({n, c});
   for (int i = 0; i < x.NumElements(); ++i) {
@@ -141,6 +144,9 @@ int main(int argc, char** argv) {
   bool acceptance_ok = true;
   using bench::JsonValue;
   JsonValue doc = bench::BenchDoc("spmm");
+  doc.Obj("flags")
+      .Set("feature_columns", kFeatureColumns)
+      .Set("parallel_threads", 8);
   doc.Obj("seeds").Set("graph_sweep", 907).Set("features", int64_t{0xFEA7});
   JsonValue& spmm = doc.Arr("spmm");
   for (const Row& r : rows) {

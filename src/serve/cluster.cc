@@ -54,8 +54,7 @@ ServeCluster::ServeCluster(std::shared_ptr<ServableModel> model,
   options_.num_replicas = std::max<size_t>(options_.num_replicas, 1);
   const std::shared_ptr<ServableModel> initial = servable_.Get();
   DEEPMAP_LOG(Info) << "ServeCluster serving model '" << initial->name()
-                    << "' v" << initial->version() << " via backend '"
-                    << initial->backend_name() << "' on "
+                    << "' v" << initial->version() << " on "
                     << options_.num_replicas << " replica(s)";
   BatchPipeline::Hooks hooks;
   hooks.on_complete = [this](const ServeRequest& r) { OnRequestComplete(r); };
@@ -186,11 +185,11 @@ StatusOr<Prediction> ServeCluster::ClassifyDelta(
   // Miss: normal dispatch under the key the store computed, with the
   // snapshot the store already copied out moved into the request. The
   // lookup above is the one the cache counters should see; there is no
-  // second.
+  // second. Its latency counts from entry, like a hit's: the delta apply,
+  // the snapshot copy and the lookup are part of the request.
   metrics_.RecordDynamicFullRecompute();
   return Dispatch(std::move(delta.value().graph), request, /*target=*/-1,
-                  std::move(delta.value().new_key),
-                  std::chrono::steady_clock::now())
+                  std::move(delta.value().new_key), start)
       .get();
 }
 

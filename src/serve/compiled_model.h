@@ -9,8 +9,7 @@
 // immutable weight bundle with one forward pass over a SparseInput
 // (serve/sparse_input.h) that
 //   - runs Conv1 as a sum of weight columns over each receptive-field row's
-//     nonzeros (nn::InferenceBackend::AccumulateSparse), never touching a
-//     zero input,
+//     nonzeros, never touching a zero input,
 //   - routes fully-empty vertex slots through a precomputed constant
 //     activation chain (bias -> ReLU -> pointwise convs), so per-graph cost
 //     scales with the actual vertex count n instead of w,
@@ -20,25 +19,23 @@
 // SparseInput::FromDense; that is an adapter for offline callers and tests,
 // not a second forward implementation.
 //
-// Kernel execution is delegated to an nn::InferenceBackend chosen at Compile
-// time: weights are packed once (conv1 through PackSparse, the rest through
-// Pack) and every dot product in the forward pass runs through the
-// backend's primitives. With the default nn::Fp32Backend() the evaluation
-// order mirrors the training layers exactly, so compiled logits are
-// bit-identical to DeepMapModel::Forward(.., false); quantized backends
-// (nn::Int8Backend) trade bounded rounding for throughput and are guarded
-// by the registry's calibration harness (see serve/model_registry.h).
+// Every kernel is plain fp32 and adds its terms in the training layers'
+// order: one ascending-index chain per output, bias first for the
+// convolutions (nn::Conv1D) and last for the dense layers (nn::Dense). Conv1
+// only omits the products of zero inputs; for finite weights those are
+// +-0.0 and leave a running sum unchanged unless it is exactly -0.0. So
+// compiled logits are bit-identical to DeepMapModel::Forward(.., false); the
+// perf_equiv and serve suites pin this. compiled_model.cc is built with
+// -ffp-contract=off (src/CMakeLists.txt) so no multiply-add is fused.
 //
 // CompiledModel is immutable after Compile and safe to share across threads.
 #ifndef DEEPMAP_SERVE_COMPILED_MODEL_H_
 #define DEEPMAP_SERVE_COMPILED_MODEL_H_
 
-#include <memory>
 #include <vector>
 
 #include "common/status.h"
 #include "core/deepmap.h"
-#include "nn/inference_backend.h"
 #include "nn/tensor.h"
 #include "serve/sparse_input.h"
 
@@ -68,32 +65,20 @@ struct ForwardScratch {
 };
 
 /// Flat immutable weights + architecture dims of one DEEPMAP network.
-/// Move-only: the packed weight bundle is owned exclusively.
 class CompiledModel {
  public:
-  /// Snapshots `model`'s parameters, packed for `backend` (nullptr selects
-  /// the exact-fp32 nn::Fp32Backend()). Validates that the parameter list
-  /// has the expected layer structure for (config, feature_dim,
-  /// sequence_length, num_classes); returns InvalidArgument on any shape
-  /// mismatch. `backend` must outlive the compiled model.
-  static StatusOr<CompiledModel> Compile(
-      core::DeepMapModel& model, const core::DeepMapConfig& config,
-      int feature_dim, int sequence_length, int num_classes,
-      const nn::InferenceBackend* backend = nullptr);
-
-  CompiledModel(CompiledModel&&) = default;
-  CompiledModel& operator=(CompiledModel&&) = default;
+  /// Snapshots `model`'s parameters. Validates that the parameter list has
+  /// the expected layer structure for (config, feature_dim, sequence_length,
+  /// num_classes); returns InvalidArgument on any shape mismatch.
+  static StatusOr<CompiledModel> Compile(core::DeepMapModel& model,
+                                         const core::DeepMapConfig& config,
+                                         int feature_dim, int sequence_length,
+                                         int num_classes);
 
   int feature_dim() const { return m_; }
   int sequence_length() const { return w_; }
   int num_classes() const { return num_classes_; }
   int receptive_field_size() const { return r_; }
-
-  /// Name of the backend executing this model's forward pass.
-  const char* backend_name() const { return backend_->name(); }
-
-  /// Resident bytes of all packed weight matrices (bench/inspection).
-  size_t PackedWeightBytes() const;
 
   /// Classifies one preprocessed input (w, r and m must match the model).
   /// Thread-safe; pass a distinct `scratch` per calling thread.
@@ -123,20 +108,15 @@ class CompiledModel {
   int readout_dim_ = 0;
   core::ReadoutKind readout_ = core::ReadoutKind::kSum;
 
-  // Kernel execution strategy; points at nn::Fp32Backend() or at a backend
-  // owned by the surrounding ServableModel.
-  const nn::InferenceBackend* backend_ = nullptr;
-
-  // Weights packed by backend_ (conv1 through PackSparse); biases stay fp32
-  // (they seed accumulators in every backend). Training layouts: conv1
-  // [c1, r*m], conv2 [c2, c1], conv3 [c3, c2], dense1 [dense, readout_dim],
+  // conv1 column-major [r*m, c1], so one input column's weights for every
+  // output channel are contiguous; the rest row-major in their training
+  // layouts: conv2 [c2, c1], conv3 [c3, c2], dense1 [dense, readout_dim],
   // dense2 [C, dense].
-  std::unique_ptr<nn::PackedWeights> conv1_p_, conv2_p_, conv3_p_;
-  std::unique_ptr<nn::PackedWeights> dense1_p_, dense2_p_;
-  nn::Tensor conv1_b_, conv2_b_, conv3_b_, dense1_b_, dense2_b_;
+  std::vector<float> conv1_w_, conv2_w_, conv3_w_, dense1_w_, dense2_w_;
+  std::vector<float> conv1_b_, conv2_b_, conv3_b_, dense1_b_, dense2_b_;
 
   // Activations an all-zero (dummy/padding) slot produces after each
-  // conv+ReLU; computed once at Compile time through the same backend.
+  // conv+ReLU; computed once at Compile time by the same kernels.
   std::vector<float> dummy1_, dummy2_, dummy3_;
 };
 

@@ -46,7 +46,7 @@ InferenceEngine::InferenceEngine(std::shared_ptr<ServableModel> model,
       dynamic_graphs_(/*wl_iterations=*/0) {
   DEEPMAP_CHECK(model_ != nullptr);
   DEEPMAP_LOG(Info) << "InferenceEngine serving model '" << model_->name()
-                    << "' via backend '" << model_->backend_name() << "'";
+                    << "'";
   batcher_ = std::make_unique<MicroBatcher>(
       options_.batcher,
       [this](std::vector<ServeRequest>&& batch, size_t depth_after) {
@@ -116,16 +116,17 @@ bool InferenceEngine::ShouldShed(std::string* detail) {
 
 std::future<StatusOr<Prediction>> InferenceEngine::Submit(
     const graph::Graph& g, const RequestOptions& request) {
-  return SubmitPrepared(g, request, std::string(), /*lookup_cache=*/true);
+  return SubmitPrepared(g, request, std::string(), /*lookup_cache=*/true,
+                        std::chrono::steady_clock::now());
 }
 
 std::future<StatusOr<Prediction>> InferenceEngine::SubmitPrepared(
     const graph::Graph& g, const RequestOptions& request,
-    std::string cache_key, bool lookup_cache) {
+    std::string cache_key, bool lookup_cache,
+    std::chrono::steady_clock::time_point start) {
   // Covers admission + cache lookup + enqueue; queue/preprocess/forward time
   // shows up under the dispatcher's serve.batch span instead.
   DEEPMAP_TRACE_SPAN("serve.submit", "serve");
-  const auto start = std::chrono::steady_clock::now();
   ServeRequest queued;
   queued.enqueue_time = start;
   queued.tenant = request.tenant;
@@ -250,11 +251,12 @@ StatusOr<Prediction> InferenceEngine::ClassifyDelta(
   }
   // Miss: full pipeline on the mutated snapshot, reusing the key the store
   // already computed and skipping the second lookup (the miss above is the
-  // one the cache counters should see).
+  // one the cache counters should see). Its latency counts from entry, like
+  // a hit's: the delta apply and the lookup are part of the request.
   metrics_.RecordDynamicFullRecompute();
   return SubmitPrepared(delta.value().graph, request,
                         std::move(delta.value().new_key),
-                        /*lookup_cache=*/false)
+                        /*lookup_cache=*/false, start)
       .get();
 }
 

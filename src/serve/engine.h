@@ -175,11 +175,12 @@ class InferenceEngine {
   /// it here (the plain Submit path); `lookup_cache` false = skip the
   /// admission-time lookup but still warm the cache under the key after the
   /// forward pass (the ClassifyDelta miss path, which has already looked
-  /// the key up and must not double-count the miss).
-  std::future<StatusOr<Prediction>> SubmitPrepared(const graph::Graph& g,
-                                                   const RequestOptions& request,
-                                                   std::string cache_key,
-                                                   bool lookup_cache);
+  /// the key up and must not double-count the miss). `start` is when the
+  /// request entered the engine; its recorded latency counts from there.
+  std::future<StatusOr<Prediction>> SubmitPrepared(
+      const graph::Graph& g, const RequestOptions& request,
+      std::string cache_key, bool lookup_cache,
+      std::chrono::steady_clock::time_point start);
 
   /// Admission-control decision for one cache-missing request; fills
   /// `detail` with the depth/latency evidence when shedding.

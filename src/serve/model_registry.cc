@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <fstream>
 #include <utility>
 
 #include "common/check.h"
@@ -13,18 +12,16 @@
 namespace deepmap::serve {
 namespace {
 
-constexpr char kBackendLoadsCounter[] = "deepmap_serve_backend_loads_total";
-constexpr char kBackendFallbackCounter[] =
-    "deepmap_serve_backend_fallback_total";
 constexpr char kReloadAttemptsCounter[] = "deepmap_serve_reload_attempts_total";
 constexpr char kReloadSuccessCounter[] = "deepmap_serve_reload_success_total";
 constexpr char kReloadRollbackCounter[] = "deepmap_serve_reload_rollback_total";
 constexpr char kReloadBreakerOpenCounter[] =
     "deepmap_serve_reload_breaker_open_total";
 
-bool IsKnownBackend(const std::string& name) {
-  const std::vector<std::string> known = nn::InferenceBackendNames();
-  return std::find(known.begin(), known.end(), name) != known.end();
+Status CheckOptions(const ModelRegistry::Options& options) {
+  if (options.backend == "fp32") return Status::Ok();
+  return Status::InvalidArgument("unknown inference backend '" +
+                                 options.backend + "'; the only one is fp32");
 }
 
 }  // namespace
@@ -80,120 +77,14 @@ ModelRegistry::ModelRegistry(obs::MetricsRegistry* metrics) {
 }
 
 Status ModelRegistry::CompileInto(ServableModel& servable,
-                                  core::DeepMapModel& model,
-                                  const graph::GraphDataset& reference,
-                                  const Options& options) {
-  const std::string requested =
-      options.backend.empty() ? "fp32" : options.backend;
-  BackendReport report;
-  report.requested = requested;
-  report.active = requested;
-
-  const core::DeepMapConfig& config = servable.config();
-  auto compile = [&](const nn::InferenceBackend* be) {
-    return CompiledModel::Compile(model, config, servable.feature_dim(),
-                                  servable.sequence_length(),
-                                  servable.num_classes(), be);
-  };
-
-  if (requested == "fp32") {
-    StatusOr<CompiledModel> compiled = compile(nullptr);
-    if (!compiled.ok()) return compiled.status();
-    servable.compiled_ =
-        std::make_unique<CompiledModel>(std::move(compiled).value());
-    servable.backend_report_ = report;
-    metrics_->GetCounter(kBackendLoadsCounter).Increment();
-    return Status::Ok();
-  }
-
-  StatusOr<std::unique_ptr<nn::InferenceBackend>> backend =
-      nn::MakeInferenceBackend(requested);
-  if (!backend.ok()) return backend.status();
-  StatusOr<CompiledModel> quantized = compile(backend.value().get());
-  if (!quantized.ok()) return quantized.status();
-
-  bool fell_back = false;
-  if (options.calibration_graphs <= 0) {
-    // Guardrail disabled: install the requested backend unchecked.
-    servable.backend_ = std::move(backend).value();
-    servable.compiled_ =
-        std::make_unique<CompiledModel>(std::move(quantized).value());
-  } else {
-    // Calibration guardrail: compare against the exact fp32 compile on the
-    // first reference graphs that preprocess cleanly.
-    StatusOr<CompiledModel> fp32 = compile(nullptr);
-    if (!fp32.ok()) return fp32.status();
-    ForwardScratch quant_scratch, fp32_scratch;
-    const std::vector<graph::Graph>& graphs = reference.graphs();
-    const int want = std::min<int>(options.calibration_graphs,
-                                   static_cast<int>(graphs.size()));
-    int used = 0;
-    int disagreements = 0;
-    float max_diff = 0.0f;
-    for (size_t i = 0; i < graphs.size() && used < want; ++i) {
-      StatusOr<SparseInput> input =
-          servable.preprocessor_.PreprocessSparse(graphs[i]);
-      if (!input.ok()) continue;  // oversized/empty graphs can't calibrate
-      const Prediction pq = quantized.value().Predict(input.value(),
-                                                      &quant_scratch);
-      const Prediction pr = fp32.value().Predict(input.value(), &fp32_scratch);
-      ++used;
-      // Injected calibration divergence: models a quantization that corrupts
-      // this graph's prediction, forcing an argmax disagreement so guardrail
-      // trips (and reload shadow-validation failures built on them) are
-      // deterministically testable.
-      const bool diverged = DEEPMAP_FAILPOINT_TRIGGERED("serve.registry.calibrate");
-      if (diverged || pq.label != pr.label) ++disagreements;
-      for (int c = 0; c < servable.num_classes(); ++c) {
-        const float d = std::fabs(quant_scratch.logits[static_cast<size_t>(c)] -
-                                  fp32_scratch.logits[static_cast<size_t>(c)]);
-        if (d > max_diff) max_diff = d;
-      }
-    }
-    report.calibration_size = used;
-    report.argmax_disagreements = disagreements;
-    report.max_abs_logit_diff = max_diff;
-    // An empty calibration slice can't certify the backend — treat it as a
-    // failed guardrail rather than serving unvalidated quantized logits.
-    const bool over_budget =
-        used == 0 ||
-        static_cast<double>(disagreements) / static_cast<double>(used) >
-            options.max_argmax_disagreement;
-    if (over_budget) {
-      fell_back = true;
-      servable.compiled_ =
-          std::make_unique<CompiledModel>(std::move(fp32).value());
-    } else {
-      servable.backend_ = std::move(backend).value();
-      servable.compiled_ =
-          std::make_unique<CompiledModel>(std::move(quantized).value());
-    }
-  }
-
-  if (fell_back) {
-    report.active = "fp32";
-    report.fell_back = true;
-    metrics_->GetCounter(kBackendFallbackCounter).Increment();
-    DEEPMAP_LOG(Warning) << "model '" << servable.name() << "': backend '"
-                         << requested << "' failed the calibration guardrail ("
-                         << report.argmax_disagreements << "/"
-                         << report.calibration_size
-                         << " argmax disagreements, max |logit diff| "
-                         << report.max_abs_logit_diff
-                         << "); serving fp32 instead";
-  }
-  servable.backend_report_ = report;
-  metrics_->GetCounter(kBackendLoadsCounter).Increment();
+                                  core::DeepMapModel& model) {
+  StatusOr<CompiledModel> compiled = CompiledModel::Compile(
+      model, servable.config(), servable.feature_dim(),
+      servable.sequence_length(), servable.num_classes());
+  if (!compiled.ok()) return compiled.status();
+  servable.compiled_ =
+      std::make_unique<CompiledModel>(std::move(compiled).value());
   return Status::Ok();
-}
-
-Status ModelRegistry::Load(const std::string& name,
-                           const graph::GraphDataset& reference,
-                           const core::DeepMapConfig& config,
-                           const std::string& params_path) {
-  Options options;
-  options.backend.clear();  // honor a persisted sidecar tag if present
-  return Load(name, reference, config, params_path, options);
 }
 
 Status ModelRegistry::Load(const std::string& name,
@@ -205,17 +96,7 @@ Status ModelRegistry::Load(const std::string& name,
   // built, the path a rollout controller must handle by keeping the old
   // servable (Load never unregisters on failure).
   DEEPMAP_INJECT_FAULT("serve.registry.load");
-  Options resolved = options;
-  if (resolved.backend.empty()) {
-    StatusOr<std::string> tag = ReadBackendTag(params_path);
-    if (tag.ok()) {
-      resolved.backend = tag.value();
-    } else if (tag.status().code() != StatusCode::kNotFound) {
-      return tag.status();  // corrupt tag: fail loudly, never misload
-    } else {
-      resolved.backend = "fp32";
-    }
-  }
+  if (Status s = CheckOptions(options); !s.ok()) return s;
   auto servable = std::make_shared<ServableModel>(name, reference, config);
   core::DeepMapModel model(servable->feature_dim(),
                            servable->sequence_length(),
@@ -223,14 +104,7 @@ Status ModelRegistry::Load(const std::string& name,
   if (Status s = nn::LoadParameters(model.Params(), params_path); !s.ok()) {
     return s;
   }
-  if (Status s = CompileInto(*servable, model, reference, resolved); !s.ok()) {
-    return s;
-  }
-  if (options.persist_backend_tag) {
-    if (Status s = WriteBackendTag(params_path, resolved.backend); !s.ok()) {
-      return s;
-    }
-  }
+  if (Status s = CompileInto(*servable, model); !s.ok()) return s;
   return Register(name, std::move(servable));
 }
 
@@ -238,18 +112,8 @@ Status ModelRegistry::Adopt(const std::string& name,
                             const graph::GraphDataset& reference,
                             const core::DeepMapConfig& config,
                             core::DeepMapModel& trained) {
-  return Adopt(name, reference, config, trained, Options());
-}
-
-Status ModelRegistry::Adopt(const std::string& name,
-                            const graph::GraphDataset& reference,
-                            const core::DeepMapConfig& config,
-                            core::DeepMapModel& trained,
-                            const Options& options) {
   auto servable = std::make_shared<ServableModel>(name, reference, config);
-  if (Status s = CompileInto(*servable, trained, reference, options); !s.ok()) {
-    return s;
-  }
+  if (Status s = CompileInto(*servable, trained); !s.ok()) return s;
   return Register(name, std::move(servable));
 }
 
@@ -324,18 +188,6 @@ StatusOr<std::shared_ptr<ServableModel>> ModelRegistry::Reload(
     return fail(FailPointError("serve.registry.reload"));
   }
 
-  Options resolved = options.load;
-  if (resolved.backend.empty()) {
-    StatusOr<std::string> tag = ReadBackendTag(params_path);
-    if (tag.ok()) {
-      resolved.backend = tag.value();
-    } else if (tag.status().code() != StatusCode::kNotFound) {
-      return fail(tag.status());
-    } else {
-      resolved.backend = "fp32";
-    }
-  }
-
   auto servable = std::make_shared<ServableModel>(name, reference, config);
   core::DeepMapModel model(servable->feature_dim(),
                            servable->sequence_length(),
@@ -343,7 +195,7 @@ StatusOr<std::shared_ptr<ServableModel>> ModelRegistry::Reload(
   if (Status s = nn::LoadParameters(model.Params(), params_path); !s.ok()) {
     return fail(std::move(s));
   }
-  if (Status s = CompileInto(*servable, model, reference, resolved); !s.ok()) {
+  if (Status s = CompileInto(*servable, model); !s.ok()) {
     return fail(std::move(s));
   }
 
@@ -417,8 +269,7 @@ StatusOr<std::shared_ptr<ServableModel>> ModelRegistry::Reload(
   }
   DEEPMAP_LOG(Info) << "model '" << name << "': hot-reloaded v"
                     << old->version() << " -> v" << servable->version()
-                    << " (backend '" << servable->backend_name()
-                    << "', shadow " << label_flips << "/" << shadow_used
+                    << " (shadow " << label_flips << "/" << shadow_used
                     << " flips)";
   for (const ReloadSubscriber& fn : subscribers) fn(servable);
   return StatusOr<std::shared_ptr<ServableModel>>(std::move(servable));
@@ -466,51 +317,6 @@ std::vector<std::string> ModelRegistry::Names() const {
 size_t ModelRegistry::size() const {
   std::lock_guard<std::mutex> lock(mu_);
   return models_.size();
-}
-
-std::string ModelRegistry::BackendTagPath(const std::string& params_path) {
-  return params_path + ".backend";
-}
-
-Status ModelRegistry::WriteBackendTag(const std::string& params_path,
-                                      const std::string& backend) {
-  if (!IsKnownBackend(backend)) {
-    return Status::InvalidArgument("cannot persist unknown backend '" +
-                                   backend + "'");
-  }
-  const std::string path = BackendTagPath(params_path);
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) return Status::IoError("cannot write backend tag: " + path);
-  out << backend << "\n";
-  out.flush();
-  if (!out) return Status::IoError("short write to backend tag: " + path);
-  return Status::Ok();
-}
-
-StatusOr<std::string> ModelRegistry::ReadBackendTag(
-    const std::string& params_path) {
-  const std::string path = BackendTagPath(params_path);
-  std::ifstream in(path);
-  if (!in) return Status::NotFound("no backend tag at " + path);
-  std::string tag;
-  std::getline(in, tag);
-  while (!tag.empty() && (tag.back() == '\r' || tag.back() == ' ' ||
-                          tag.back() == '\t')) {
-    tag.pop_back();
-  }
-  if (!IsKnownBackend(tag)) {
-    return Status::InvalidArgument("backend tag at " + path +
-                                   " names unknown backend '" + tag + "'");
-  }
-  return tag;
-}
-
-int64_t ModelRegistry::backend_loads() const {
-  return metrics_->GetCounter(kBackendLoadsCounter).Value();
-}
-
-int64_t ModelRegistry::backend_fallbacks() const {
-  return metrics_->GetCounter(kBackendFallbackCounter).Value();
 }
 
 int64_t ModelRegistry::reload_attempts() const {

@@ -7,18 +7,7 @@
 // the reference dataset + config, instantiates the architecture, loads and
 // validates the persisted parameters against it (count/shape mismatches are
 // Status errors, never silent misloads), and compiles the weights into the
-// immutable inference form.
-//
-// Backend selection lives here too: Options::backend picks the
-// nn::InferenceBackend the model compiles against ("fp32" exact reference,
-// "int8" quantized AVX2). Non-fp32 backends pass through an accuracy
-// guardrail at load time — quantized and fp32 predictions are compared on a
-// calibration slice of the reference dataset, and when argmax disagreement
-// exceeds Options::max_argmax_disagreement the registry installs the fp32
-// compile instead, increments deepmap_serve_backend_fallback_total, and logs
-// a warning. The chosen backend can be persisted alongside the weight file
-// as a one-line sidecar tag (`<params_path>.backend`) that a plain Load
-// picks up automatically.
+// immutable inference form (serve::CompiledModel, exact fp32).
 //
 // Registered models are shared_ptr-held, so a model stays valid for
 // in-flight requests even if it is unloaded concurrently.
@@ -28,8 +17,8 @@
 // against the *currently serving* version on a slice of calibration graphs
 // (predictions must be finite; argmax flips vs the old model are budgeted),
 // and only then swapped into the registry with a bumped version number.
-// Any failure — load error, compile error, injected corruption, guardrail
-// violation — rolls back: the old servable keeps serving untouched. A
+// Any failure — load error, compile error, injected corruption, flip
+// budget exceeded — rolls back: the old servable keeps serving untouched. A
 // per-model circuit breaker counts consecutive reload failures and, once
 // open, fails further reloads fast (FailedPrecondition) until
 // ResetBreaker(), so a broken rollout pipeline cannot burn cycles
@@ -48,22 +37,11 @@
 #include "common/status.h"
 #include "core/deepmap.h"
 #include "graph/dataset.h"
-#include "nn/inference_backend.h"
 #include "obs/metrics.h"
 #include "serve/compiled_model.h"
 #include "serve/preprocessor.h"
 
 namespace deepmap::serve {
-
-/// Outcome of backend selection + the calibration guardrail for one load.
-struct BackendReport {
-  std::string requested = "fp32";  // what the caller asked for
-  std::string active = "fp32";     // what actually serves (post-guardrail)
-  int calibration_size = 0;        // graphs the guardrail compared on
-  int argmax_disagreements = 0;    // labels that differed vs fp32
-  float max_abs_logit_diff = 0.0f; // worst logit deviation observed
-  bool fell_back = false;          // guardrail rejected the backend
-};
 
 /// A loaded model plus everything needed to serve it.
 class ServableModel {
@@ -79,12 +57,6 @@ class ServableModel {
   int feature_dim() const { return preprocessor_.feature_dim(); }
   int sequence_length() const { return preprocessor_.sequence_length(); }
   int num_classes() const { return num_classes_; }
-
-  /// Backend actually serving this model ("fp32" after a guardrail
-  /// fallback, regardless of what was requested).
-  const char* backend_name() const { return compiled_->backend_name(); }
-  /// Selection + guardrail details from load time.
-  const BackendReport& backend_report() const { return backend_report_; }
 
   /// Thread-safe request preprocessing (see Preprocessor).
   Preprocessor& preprocessor() { return preprocessor_; }
@@ -105,11 +77,7 @@ class ServableModel {
   int num_classes_;
   Preprocessor preprocessor_;
   Prediction fallback_;
-  // Owns non-fp32 backends; null when serving through nn::Fp32Backend().
-  // Declared before compiled_ so the backend outlives the packed weights.
-  std::unique_ptr<nn::InferenceBackend> backend_;
   std::unique_ptr<CompiledModel> compiled_;
-  BackendReport backend_report_;
 };
 
 /// Thread-safe holder of the servable currently serving one traffic
@@ -135,37 +103,26 @@ class ServableHandle {
 /// Thread-safe name -> ServableModel map.
 class ModelRegistry {
  public:
-  /// Per-load backend selection and guardrail budget.
+  /// Per-load options.
   struct Options {
-    /// InferenceBackend name ("fp32", "int8"). Empty means: read the
-    /// persisted sidecar tag next to the params file (Load only), defaulting
-    /// to "fp32" when no tag exists. Unknown names are InvalidArgument.
+    /// Kept for callers that name the arithmetic explicitly: "fp32" is the
+    /// only value; anything else is InvalidArgument.
     std::string backend = "fp32";
-    /// Calibration-slice size for the guardrail (first N reference graphs
-    /// that preprocess cleanly). <= 0 disables the guardrail entirely (the
-    /// requested backend is installed unchecked).
-    int calibration_graphs = 32;
-    /// Maximum tolerated fraction of calibration graphs whose argmax label
-    /// differs from fp32. Exceeding it falls back to fp32. Negative forces
-    /// fallback for any non-fp32 backend (used to test the fallback path).
-    double max_argmax_disagreement = 0.05;
-    /// When true, Load/Adopt persist the *requested* backend name to the
-    /// sidecar tag (Load only; requires a params path).
-    bool persist_backend_tag = false;
   };
 
-  /// Counters land in `metrics` (deepmap_serve_backend_*); pass nullptr for
-  /// a private registry, inspectable via metrics().
+  /// Reload counters land in `metrics` (deepmap_serve_reload_*); pass
+  /// nullptr for a private registry, inspectable via metrics().
   explicit ModelRegistry(obs::MetricsRegistry* metrics = nullptr);
 
   /// Builds preprocessing state from `reference` + `config`, loads the
   /// persisted parameters at `params_path` into a fresh architecture
   /// (rejecting count/shape mismatches and corrupt files), and registers the
   /// compiled result under `name`. Fails if `name` is already registered.
-  /// This overload honors a persisted backend sidecar tag if one exists.
   Status Load(const std::string& name, const graph::GraphDataset& reference,
               const core::DeepMapConfig& config,
-              const std::string& params_path);
+              const std::string& params_path) {
+    return Load(name, reference, config, params_path, Options());
+  }
   Status Load(const std::string& name, const graph::GraphDataset& reference,
               const core::DeepMapConfig& config, const std::string& params_path,
               const Options& options);
@@ -176,15 +133,9 @@ class ModelRegistry {
   Status Adopt(const std::string& name, const graph::GraphDataset& reference,
                const core::DeepMapConfig& config,
                core::DeepMapModel& trained);
-  Status Adopt(const std::string& name, const graph::GraphDataset& reference,
-               const core::DeepMapConfig& config, core::DeepMapModel& trained,
-               const Options& options);
 
   /// Knobs of one hot reload (Reload).
   struct ReloadOptions {
-    /// Backend selection + calibration guardrail for the replacement
-    /// compile, exactly as in Load. An empty backend honors the sidecar tag.
-    Options load;
     /// Shadow-validation slice: the first N reference graphs that
     /// preprocess cleanly are replayed through the new AND old servables.
     /// <= 0 skips shadow validation (the swap is still atomic).
@@ -241,22 +192,8 @@ class ModelRegistry {
   std::vector<std::string> Names() const;
   size_t size() const;
 
-  /// Sidecar path the backend tag persists to: `<params_path>.backend`.
-  static std::string BackendTagPath(const std::string& params_path);
-  /// Persists `backend` (validated against the known backend names) as the
-  /// sidecar tag for `params_path`.
-  static Status WriteBackendTag(const std::string& params_path,
-                                const std::string& backend);
-  /// Reads the sidecar tag. NotFound when no tag exists; InvalidArgument
-  /// when the tag names an unknown backend.
-  static StatusOr<std::string> ReadBackendTag(const std::string& params_path);
-
-  /// Registry this instance reports deepmap_serve_backend_* counters into.
+  /// Registry this instance reports deepmap_serve_reload_* counters into.
   obs::MetricsRegistry& metrics() const { return *metrics_; }
-  /// Total successful backend installs (any backend).
-  int64_t backend_loads() const;
-  /// Guardrail-triggered fallbacks to fp32.
-  int64_t backend_fallbacks() const;
   /// Reload lifecycle counters (deepmap_serve_reload_*).
   int64_t reload_attempts() const;
   int64_t reload_successes() const;
@@ -279,11 +216,9 @@ class ModelRegistry {
   Status ReloadFailed(const std::string& name, int breaker_threshold,
                       Status error);
 
-  /// Resolves options.backend, compiles `model` for it, runs the calibration
-  /// guardrail, and installs the winning compile (+ report) into `servable`.
-  Status CompileInto(ServableModel& servable, core::DeepMapModel& model,
-                     const graph::GraphDataset& reference,
-                     const Options& options);
+  /// Compiles `model` and installs the result into `servable`.
+  static Status CompileInto(ServableModel& servable,
+                            core::DeepMapModel& model);
 
   std::unique_ptr<obs::MetricsRegistry> owned_metrics_;
   obs::MetricsRegistry* metrics_;

@@ -3,16 +3,19 @@
 // and pre-delta entries survive), hit the cache on a revert or undo, and
 // account every delta in the deepmap_serve_dynamic_* counters; the store's
 // incrementally maintained key must always equal KeyFor of its snapshot.
+// A miss's recorded latency counts from ClassifyDelta's entry, like a hit's.
 // Covers both the single InferenceEngine and the ServeCluster front ends.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstring>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/failpoint.h"
 #include "common/rng.h"
 #include "core/deepmap.h"
 #include "datasets/registry.h"
@@ -362,6 +365,60 @@ TEST(DynamicServeTest, ClusterUndoDeltaHitsPreDeltaEntry) {
   auto fresh = oracle.Classify(shadow);
   ASSERT_TRUE(fresh.ok());
   ExpectSameBytes(undo.value(), fresh.value());
+}
+
+/// Arms "serve.cache.lookup" to fire on every lookup, stalling it for
+/// 100 ms: the lookup then misses, and the miss path's recorded latency has
+/// to contain the stall. Disarmed on destruction.
+class SlowLookupMiss {
+ public:
+  static constexpr double kStallUs = 100000.0;
+
+  SlowLookupMiss() {
+    FailPointSpec spec = FailPointSpec::Always();
+    spec.on_trigger = [] {
+      std::this_thread::sleep_for(std::chrono::microseconds(
+          static_cast<int64_t>(kStallUs)));
+    };
+    FailPointRegistry::Instance().Enable("serve.cache.lookup", spec);
+  }
+  ~SlowLookupMiss() {
+    FailPointRegistry::Instance().Disable("serve.cache.lookup");
+  }
+};
+
+TEST(DynamicServeTest, ClusterDeltaMissLatencyCountsFromEntry) {
+  TrainedBundle& b = Bundle();
+  ServeCluster::Options options;
+  options.num_replicas = 1;
+  options.cache_capacity = 64;
+  options.replica.num_threads = 1;
+  ServeCluster cluster(b.servable, options);
+  ASSERT_TRUE(cluster.RegisterDynamicGraph("g", BaseGraph()).ok());
+  {
+    SlowLookupMiss slow;
+    ASSERT_TRUE(cluster.ClassifyDelta("g", {EdgeUpdate::Insert(0, 3)}).ok());
+  }
+  EXPECT_EQ(cluster.metrics().dynamic_full_recomputes(), 1);
+  const serve::LatencySummary total = cluster.metrics().Latency("total");
+  ASSERT_EQ(total.count, 1);
+  EXPECT_GE(total.max, SlowLookupMiss::kStallUs);
+  EXPECT_GE(cluster.metrics().Latency("queue").max, SlowLookupMiss::kStallUs);
+}
+
+TEST(DynamicServeTest, EngineDeltaMissLatencyCountsFromEntry) {
+  TrainedBundle& b = Bundle();
+  InferenceEngine engine(b.servable, SmallEngineOptions());
+  ASSERT_TRUE(engine.RegisterDynamicGraph("g", BaseGraph()).ok());
+  {
+    SlowLookupMiss slow;
+    ASSERT_TRUE(engine.ClassifyDelta("g", {EdgeUpdate::Insert(0, 3)}).ok());
+  }
+  EXPECT_EQ(engine.metrics().dynamic_full_recomputes(), 1);
+  const serve::LatencySummary total = engine.metrics().Latency("total");
+  ASSERT_EQ(total.count, 1);
+  EXPECT_GE(total.max, SlowLookupMiss::kStallUs);
+  EXPECT_GE(engine.metrics().Latency("queue").max, SlowLookupMiss::kStallUs);
 }
 
 TEST(DynamicServeTest, DynamicCountersAppearInPrometheusScrape) {

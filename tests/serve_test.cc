@@ -7,6 +7,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <mutex>
@@ -685,6 +686,61 @@ TEST(ModelRegistryTest, LoadFromDiskServesAndValidates) {
 
   EXPECT_TRUE(registry.Unload("disk").ok());
   EXPECT_FALSE(registry.Unload("disk").ok());
+  std::filesystem::remove(path);
+}
+
+TEST(BackendBitIdentityTest, ExplicitFp32OptionsMatchTrainingStack) {
+  TrainedBundle& b = Bundle();
+  auto path = TempFile("serve_test_explicit_fp32.bin");
+  ASSERT_TRUE(nn::SaveParameters(b.model->Params(), path.string()).ok());
+  serve::ModelRegistry registry;
+  serve::ModelRegistry::Options options;
+  options.backend = "fp32";
+  ASSERT_TRUE(
+      registry.Load("fp32", b.dataset, b.config, path.string(), options).ok());
+  std::filesystem::remove(path);
+  std::shared_ptr<serve::ServableModel> servable = registry.Get("fp32");
+  ASSERT_NE(servable, nullptr);
+
+  // Registry-compiled logits through the served (sparse) path and through
+  // the dense adapter, byte for byte against the training stack.
+  ForwardScratch scratch;
+  for (int i = 0; i < b.dataset.size(); ++i) {
+    const nn::Tensor& input = b.pipeline->inputs()[i];
+    const nn::Tensor offline = b.model->Forward(input, false);
+    const size_t bytes = static_cast<size_t>(offline.NumElements()) *
+                         sizeof(float);
+    StatusOr<serve::SparseInput> sparse =
+        servable->preprocessor().PreprocessSparse(b.dataset.graph(i));
+    ASSERT_TRUE(sparse.ok()) << sparse.status().ToString();
+    const nn::Tensor served = servable->compiled().Logits(sparse.value(),
+                                                          &scratch);
+    ASSERT_EQ(served.NumElements(), offline.NumElements());
+    EXPECT_EQ(std::memcmp(served.data(), offline.data(), bytes), 0)
+        << "graph " << i;
+    const nn::Tensor adapted = servable->compiled().Logits(input, &scratch);
+    EXPECT_EQ(std::memcmp(adapted.data(), offline.data(), bytes), 0)
+        << "graph " << i;
+  }
+}
+
+TEST(RegistryBackendTest, UnknownBackendNameIsInvalidArgument) {
+  TrainedBundle& b = Bundle();
+  auto path = TempFile("serve_test_unknown_backend.bin");
+  ASSERT_TRUE(nn::SaveParameters(b.model->Params(), path.string()).ok());
+  serve::ModelRegistry registry;
+  for (const char* name : {"bf16", "int8", ""}) {
+    serve::ModelRegistry::Options options;
+    options.backend = name;
+    Status s = registry.Load("nope", b.dataset, b.config, path.string(),
+                             options);
+    ASSERT_FALSE(s.ok()) << name;
+    EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << name;
+    EXPECT_NE(s.message().find("'" + std::string(name) + "'"),
+              std::string::npos)
+        << s.ToString();
+  }
+  EXPECT_EQ(registry.size(), 0u);
   std::filesystem::remove(path);
 }
 

@@ -3,11 +3,10 @@
 //     byte the dense densification (vocabulary lookup or hash-bucket merge,
 //     log1p, column scaling over all m columns), in vocabulary and hashing
 //     mode, including ids that collide in one bucket;
-//   - the sparse forward pass (PreprocessSparse -> CompiledModel) gives the
-//     same logit bytes as the dense reference for every feature-map kind,
-//     readout and backend: the training stack for fp32, and for both
-//     backends the dense windowed forward the serve path ran before it went
-//     sparse;
+//   - the sparse forward pass (PreprocessSparse -> CompiledModel) and the
+//     dense adapter (Preprocess -> CompiledModel) give the same logit bytes
+//     as the training stack (DeepMapModel::Forward) for every feature-map
+//     kind and readout;
 //   - graphlet preprocessing is a pure function of the request graph:
 //     request order and concurrent submitters do not change any logit.
 #include <gtest/gtest.h>
@@ -28,8 +27,6 @@
 #include "kernels/feature_map.h"
 #include "kernels/graphlet.h"
 #include "kernels/vertex_feature_map.h"
-#include "nn/inference_backend.h"
-#include "nn/int8_backend.h"
 #include "nn/model.h"
 #include "serve/cluster.h"
 #include "serve/model_registry.h"
@@ -190,83 +187,7 @@ TEST(SparseRowTest, ScatterEqualsDenseInHashingModeWithCollisions) {
 }
 
 // ---------------------------------------------------------------------------
-// Sparse forward vs dense forward
-
-/// The dense windowed forward the serve path ran before its input became
-/// sparse, built only from the row-major primitives. Conv1 visited each
-/// nonzero receptive-field row from its first nonzero column c0 to m —
-/// zeros after c0 included — adding a windowed dot to the running sums.
-/// That windowed dot is ConvForward over the whole [c1, r*m] kernel with
-/// the running sums as the bias and the window zero-padded to r*m: int8
-/// sees the same activation scale (max |x| over the window), the same exact
-/// int32 dots and the same epilogue; fp32 adds the window's terms in the
-/// same order after some extra +-0.0 terms.
-nn::Tensor DenseWindowedLogits(const nn::InferenceBackend& be,
-                               core::DeepMapModel& model,
-                               const core::DeepMapConfig& config, int m, int w,
-                               const nn::Tensor& input) {
-  std::vector<nn::Param> params = model.Params();
-  const int r = config.receptive_field_size;
-  const int c1 = config.conv1_channels;
-  const int c2 = config.conv2_channels;
-  const int c3 = config.conv3_channels;
-  const bool concat = config.readout == core::ReadoutKind::kConcat;
-  const auto conv1 = be.Pack(*params[0].value);
-  const auto conv2 = be.Pack(*params[2].value);
-  const auto conv3 = be.Pack(*params[4].value);
-  const auto dense1 = be.Pack(*params[6].value);
-  const auto dense2 = be.Pack(*params[8].value);
-  const float* b1 = params[1].value->data();
-  const float* b2 = params[3].value->data();
-  const float* b3 = params[5].value->data();
-
-  std::vector<float> window(static_cast<size_t>(r) * m);
-  std::vector<float> h1(c1), h2(c2), h3(c3), sums(c1);
-  std::vector<float> readout(static_cast<size_t>(concat ? c3 * w : c3), 0.0f);
-  for (int s = 0; s < w; ++s) {
-    bool any_row = false;
-    for (int pos = 0; pos < r; ++pos) {
-      const float* row = input.data() + (static_cast<size_t>(s) * r + pos) * m;
-      int c0 = 0;
-      while (c0 < m && row[c0] == 0.0f) ++c0;
-      if (c0 == m) continue;
-      if (!any_row) {
-        std::copy(b1, b1 + c1, h1.begin());
-        any_row = true;
-      }
-      std::fill(window.begin(), window.end(), 0.0f);
-      std::copy(row + c0, row + m, window.begin() + pos * m + c0);
-      sums = h1;
-      be.ConvForward(*conv1, sums.data(), window.data(), h1.data());
-    }
-    if (!any_row) std::copy(b1, b1 + c1, h1.begin());  // the dummy chain
-    be.Relu(h1.data(), c1);
-    be.ConvForward(*conv2, b2, h1.data(), h2.data());
-    be.Relu(h2.data(), c2);
-    be.ConvForward(*conv3, b3, h2.data(), h3.data());
-    be.Relu(h3.data(), c3);
-    for (int c = 0; c < c3; ++c) {
-      if (concat) {
-        readout[static_cast<size_t>(s) * c3 + c] = h3[c];
-      } else {
-        readout[c] += h3[c];
-      }
-    }
-  }
-  if (config.readout == core::ReadoutKind::kMean) {
-    const float inv = 1.0f / static_cast<float>(w);
-    for (float& v : readout) v *= inv;
-  }
-  std::vector<float> hidden(static_cast<size_t>(config.dense_units));
-  be.DenseForward(*dense1, params[7].value->data(), readout.data(),
-                  hidden.data());
-  be.Relu(hidden.data(), config.dense_units);
-  std::vector<float> logits(
-      static_cast<size_t>(params[9].value->NumElements()));
-  be.DenseForward(*dense2, params[9].value->data(), hidden.data(),
-                  logits.data());
-  return nn::Tensor::FromFlat(logits);
-}
+// Sparse forward vs the training stack
 
 struct KindReadout {
   FeatureMapKind kind;
@@ -297,8 +218,6 @@ TEST_P(SparseForwardTest, LogitsByteEqualDenseForEveryBackend) {
   nn::TrainClassifier(model, pipeline.inputs(), dataset.labels(), config.train);
 
   serve::Preprocessor preprocessor(dataset, config);
-  nn::Int8Backend int8;
-  const nn::InferenceBackend* backends[] = {&nn::Fp32Backend(), &int8};
 
   // The reference graphs (the largest has n = w) plus one with isolated
   // vertices: the smallest graph padded with isolated vertices up to w - 1.
@@ -313,35 +232,26 @@ TEST_P(SparseForwardTest, LogitsByteEqualDenseForEveryBackend) {
   while (isolated.NumVertices() < w - 1) isolated.AddVertex(1);
   graphs.push_back(isolated);
 
-  for (const nn::InferenceBackend* be : backends) {
-    auto compiled = CompiledModel::Compile(model, config, m, w,
-                                           pipeline.num_classes(), be);
-    ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
-    ForwardScratch scratch;
-    for (size_t i = 0; i < graphs.size(); ++i) {
-      StatusOr<SparseInput> sparse = preprocessor.PreprocessSparse(graphs[i]);
-      ASSERT_TRUE(sparse.ok()) << sparse.status().ToString();
-      EXPECT_EQ(sparse.value().num_rows(), graphs[i].NumVertices());
-      StatusOr<nn::Tensor> dense = preprocessor.Preprocess(graphs[i]);
-      ASSERT_TRUE(dense.ok());
+  auto compiled =
+      CompiledModel::Compile(model, config, m, w, pipeline.num_classes());
+  ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+  ForwardScratch scratch;
+  for (size_t i = 0; i < graphs.size(); ++i) {
+    StatusOr<SparseInput> sparse = preprocessor.PreprocessSparse(graphs[i]);
+    ASSERT_TRUE(sparse.ok()) << sparse.status().ToString();
+    EXPECT_EQ(sparse.value().num_rows(), graphs[i].NumVertices());
+    StatusOr<nn::Tensor> dense = preprocessor.Preprocess(graphs[i]);
+    ASSERT_TRUE(dense.ok());
 
-      const nn::Tensor got = compiled.value().Logits(sparse.value(), &scratch);
-      const size_t n = static_cast<size_t>(got.NumElements());
-      const nn::Tensor want =
-          DenseWindowedLogits(*be, model, config, m, w, dense.value());
-      ASSERT_EQ(want.NumElements(), got.NumElements());
-      EXPECT_TRUE(SameBytes(got.data(), want.data(), n))
-          << be->name() << " graph " << i;
-      // The dense adapter runs the same core on one row per position.
-      const nn::Tensor adapted =
-          compiled.value().Logits(dense.value(), &scratch);
-      EXPECT_TRUE(SameBytes(adapted.data(), want.data(), n))
-          << be->name() << " graph " << i;
-      if (be == &nn::Fp32Backend()) {
-        const nn::Tensor offline = model.Forward(dense.value(), false);
-        EXPECT_TRUE(SameBytes(got.data(), offline.data(), n)) << "graph " << i;
-      }
-    }
+    const nn::Tensor want = model.Forward(dense.value(), false);
+    const nn::Tensor got = compiled.value().Logits(sparse.value(), &scratch);
+    const size_t n = static_cast<size_t>(want.NumElements());
+    ASSERT_EQ(got.NumElements(), want.NumElements());
+    EXPECT_TRUE(SameBytes(got.data(), want.data(), n)) << "graph " << i;
+    // The dense adapter runs the same core on one row per position.
+    const nn::Tensor adapted =
+        compiled.value().Logits(dense.value(), &scratch);
+    EXPECT_TRUE(SameBytes(adapted.data(), want.data(), n)) << "graph " << i;
   }
 }
 

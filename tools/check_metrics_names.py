@@ -37,7 +37,7 @@ CALL_RE = re.compile(
 TOKEN_RE = re.compile(r"[a-z0-9]+")
 
 # constexpr char kFoo[] = "deepmap_...";  — call sites that pass a named
-# constant (model_registry.cc does this for the backend counters) are
+# constant (model_registry.cc does this for the reload counters) are
 # invisible to CALL_RE, so metric-name constants are scanned separately. The
 # kind is inferred from the reserved suffix.
 NAME_CONST_RE = re.compile(
@@ -53,8 +53,6 @@ KIND_SUFFIX = {
 # a break even though every remaining literal still lints clean. Maps name ->
 # the Get* kind it must be registered with.
 REQUIRED_FAMILIES = {
-    "deepmap_serve_backend_loads_total": "Counter",
-    "deepmap_serve_backend_fallback_total": "Counter",
     # Supervision / self-healing (HealthMetrics; docs/robustness.md).
     "deepmap_serve_health_hangs_total": "Counter",
     "deepmap_serve_health_crashes_total": "Counter",

@@ -18,13 +18,17 @@
 //   deepmap_cli evaluate --method=deepmap-wl --synthetic=PTC_MR --folds=3
 //   deepmap_cli evaluate --method=wl --data_dir=/data/TU --dataset=MUTAG
 //   deepmap_cli generate --synthetic=ENZYMES --out_dir=/tmp/enzymes
+#include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <iterator>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -46,6 +50,54 @@ namespace {
 
 using namespace deepmap;
 
+/// Parses all of `text` as a T; nullopt on junk, trailing characters or
+/// overflow.
+template <typename T>
+std::optional<T> ParseWhole(const std::string& text) {
+  T value{};
+  const char* end = text.data() + text.size();
+  auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end) return std::nullopt;
+  return value;
+}
+
+enum class FlagType { kString, kInt, kDouble, kBool };
+
+struct FlagSpec {
+  const char* name;
+  FlagType type;
+};
+
+/// Dataset selection, read by every subcommand through LoadDataset.
+constexpr FlagSpec kDatasetFlags[] = {
+    {"synthetic", FlagType::kString}, {"scale", FlagType::kDouble},
+    {"min_graphs", FlagType::kInt},   {"seed", FlagType::kInt},
+    {"data_dir", FlagType::kString},  {"dataset", FlagType::kString},
+};
+
+/// The flags `command` reads beyond the dataset ones, or nullopt for an
+/// unknown command.
+std::optional<std::vector<FlagSpec>> CommandFlags(const std::string& command) {
+  if (command == "stats") return std::vector<FlagSpec>{};
+  if (command == "evaluate") {
+    return std::vector<FlagSpec>{
+        {"method", FlagType::kString}, {"folds", FlagType::kInt},
+        {"epochs", FlagType::kInt},    {"r", FlagType::kInt},
+        {"order", FlagType::kInt},     {"vfm", FlagType::kBool}};
+  }
+  if (command == "generate") {
+    return std::vector<FlagSpec>{{"out_dir", FlagType::kString}};
+  }
+  if (command == "serve-bench") {
+    return std::vector<FlagSpec>{
+        {"requests", FlagType::kInt},       {"batch", FlagType::kInt},
+        {"wait_us", FlagType::kInt},        {"cache", FlagType::kInt},
+        {"replicas", FlagType::kInt},       {"epochs", FlagType::kInt},
+        {"trace-out", FlagType::kString},   {"metrics-out", FlagType::kString}};
+  }
+  return std::nullopt;
+}
+
 struct CliArgs {
   std::string command;
   std::map<std::string, std::string> flags;
@@ -55,13 +107,14 @@ struct CliArgs {
     auto it = flags.find(key);
     return it == flags.end() ? fallback : it->second;
   }
+  // Values were checked by CheckFlags before any subcommand ran.
   double GetDouble(const std::string& key, double fallback) const {
     auto it = flags.find(key);
-    return it == flags.end() ? fallback : std::stod(it->second);
+    return it == flags.end() ? fallback : *ParseWhole<double>(it->second);
   }
   int GetInt(const std::string& key, int fallback) const {
     auto it = flags.find(key);
-    return it == flags.end() ? fallback : std::stoi(it->second);
+    return it == flags.end() ? fallback : *ParseWhole<int>(it->second);
   }
 };
 
@@ -69,13 +122,44 @@ int Usage() {
   std::fprintf(
       stderr,
       "usage: deepmap_cli <stats|evaluate|generate|serve-bench> [flags]\n"
-      "  common:      --synthetic=NAME [--scale=F] | --data_dir=DIR --dataset=NAME\n"
-      "  evaluate:    --method=M [--folds=N] [--epochs=N] [--seed=N] [--r=N]\n"
+      "  common:      --synthetic=NAME [--scale=F] [--min_graphs=N] [--seed=N]\n"
+      "               | --data_dir=DIR --dataset=NAME\n"
+      "  evaluate:    --method=M [--folds=N] [--epochs=N] [--r=N] [--order=N]\n"
+      "               [--vfm]\n"
       "  generate:    --synthetic=NAME --out_dir=DIR [--scale=F]\n"
       "  serve-bench: [--requests=N] [--batch=N] [--epochs=N] [--cache=N]\n"
-      "               [--wait_us=N] [--replicas=N] [--backend=fp32|int8]\n"
+      "               [--wait_us=N] [--replicas=N]\n"
       "               [--trace-out=FILE] [--metrics-out=FILE]\n");
   return 2;
+}
+
+/// Usage error (exit 2) naming the first flag `args.command` does not read
+/// or whose value does not parse as its type; 0 when every flag is sound.
+int CheckFlags(const CliArgs& args) {
+  std::optional<std::vector<FlagSpec>> specs = CommandFlags(args.command);
+  if (!specs.has_value()) return Usage();
+  specs->insert(specs->end(), std::begin(kDatasetFlags),
+                std::end(kDatasetFlags));
+  for (const auto& [name, value] : args.flags) {
+    auto spec = std::find_if(specs->begin(), specs->end(),
+                             [&](const FlagSpec& f) { return name == f.name; });
+    if (spec == specs->end()) {
+      std::fprintf(stderr, "deepmap_cli %s: unknown flag --%s\n",
+                   args.command.c_str(), name.c_str());
+      return Usage();
+    }
+    const bool bad =
+        (spec->type == FlagType::kInt && !ParseWhole<int>(value)) ||
+        (spec->type == FlagType::kDouble && !ParseWhole<double>(value));
+    if (bad) {
+      std::fprintf(stderr, "deepmap_cli %s: --%s expects %s, got '%s'\n",
+                   args.command.c_str(), name.c_str(),
+                   spec->type == FlagType::kInt ? "an integer" : "a number",
+                   value.c_str());
+      return Usage();
+    }
+  }
+  return 0;
 }
 
 StatusOr<graph::GraphDataset> LoadDataset(const CliArgs& args) {
@@ -240,7 +324,6 @@ int RunServeBench(const CliArgs& args) {
   const int wait_us = args.GetInt("wait_us", 2000);
   const int cache = args.GetInt("cache", 1024);
   const int replicas = args.GetInt("replicas", 1);
-  const std::string backend = args.Get("backend", "fp32");
   const std::string trace_out = args.Get("trace-out");
   const std::string metrics_out = args.Get("metrics-out");
   if (requests < 0 || batch <= 0 || wait_us < 0 || cache < 0 ||
@@ -267,28 +350,14 @@ int RunServeBench(const CliArgs& args) {
   std::printf("trained DEEPMAP-WL on %s: train accuracy %.1f%%\n",
               dataset.name().c_str(), 100.0 * history.final_accuracy());
 
-  // One shared metrics registry so --metrics-out captures the registry's
-  // backend load/fallback counters alongside the engine's serving metrics.
+  // One shared metrics registry so --metrics-out captures the model
+  // registry's counters alongside the engine's serving metrics.
   obs::MetricsRegistry metrics_registry;
   serve::ModelRegistry registry(&metrics_registry);
-  serve::ModelRegistry::Options serve_options;
-  serve_options.backend = backend;
-  if (Status s = registry.Adopt("cli", dataset, config, model, serve_options);
-      !s.ok()) {
+  if (Status s = registry.Adopt("cli", dataset, config, model); !s.ok()) {
     std::fprintf(stderr, "%s\n", s.ToString().c_str());
     return 1;
   }
-  const serve::BackendReport& report = registry.Get("cli")->backend_report();
-  std::printf("backend: requested %s, serving %s", report.requested.c_str(),
-              report.active.c_str());
-  if (report.calibration_size > 0) {
-    std::printf(" (guardrail: %d/%d argmax disagreements, max |logit diff| "
-                "%.4g%s)",
-                report.argmax_disagreements, report.calibration_size,
-                report.max_abs_logit_diff,
-                report.fell_back ? "; FELL BACK to fp32" : "");
-  }
-  std::printf("\n");
 
   // --replicas > 1 serves through a ServeCluster (continuous batching, no
   // wait window — --wait_us only applies to the single-engine batcher).
@@ -405,6 +474,7 @@ int main(int argc, char** argv) {
       args.flags[std::string(arg + 2, eq)] = eq + 1;
     }
   }
+  if (int status = CheckFlags(args); status != 0) return status;
   if (args.command == "stats") return RunStats(args);
   if (args.command == "evaluate") return RunEvaluate(args);
   if (args.command == "generate") return RunGenerate(args);
