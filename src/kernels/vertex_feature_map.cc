@@ -1,6 +1,5 @@
 #include "kernels/vertex_feature_map.h"
 
-#include <algorithm>
 #include <cmath>
 
 #include "common/check.h"
@@ -81,40 +80,48 @@ std::vector<double> DatasetVertexFeatures::DenseRow(int g, int v) const {
 
 std::vector<RowEntry> DatasetVertexFeatures::SparseRow(
     const SparseFeatureMap& map) const {
-  std::vector<RowEntry> row;
-  row.reserve(map.NumNonZero());
-  for (const auto& [id, count] : map.entries()) {
+  const std::vector<std::pair<FeatureId, double>> entries(
+      map.entries().begin(), map.entries().end());
+  std::vector<RowEntry> row(entries.size());
+  row.resize(SparseRowInto(entries.data(), entries.size(), row.data()));
+  return row;
+}
+
+size_t DatasetVertexFeatures::SparseRowInto(
+    const std::pair<FeatureId, double>* entries, size_t k,
+    RowEntry* out) const {
+  // Stable: ids sharing a hash bucket keep their id order, so each column's
+  // sum is the dense path's chain 0.0 + c_1 + c_2 + ...
+  size_t n = 0;
+  for (size_t i = 0; i < k; ++i) {
+    const auto [id, count] = entries[i];
     const int64_t col =
         uses_hashing_
             ? static_cast<int64_t>(HashedColumn(id, static_cast<size_t>(dim_)))
             : vocabulary_.ColumnOf(id);
-    if (col >= 0) row.push_back({static_cast<int32_t>(col), count});
+    if (col < 0) continue;
+    size_t j = n++;
+    for (; j > 0 && out[j - 1].col > col; --j) out[j] = out[j - 1];
+    out[j] = {static_cast<int32_t>(col), count};
   }
-  // Stable, so ids sharing a hash bucket keep their id order and each
-  // column's sum is the dense path's chain 0.0 + c_1 + c_2 + ...
-  std::stable_sort(row.begin(), row.end(),
-                   [](const RowEntry& a, const RowEntry& b) {
-                     return a.col < b.col;
-                   });
-  size_t out = 0;
-  for (size_t i = 0; i < row.size(); ++i) {
-    if (out > 0 && row[out - 1].col == row[i].col) {
-      row[out - 1].value += row[i].value;
+  size_t merged = 0;
+  for (size_t i = 0; i < n; ++i) {
+    if (merged > 0 && out[merged - 1].col == out[i].col) {
+      out[merged - 1].value += out[i].value;
     } else {
-      row[out++] = {row[i].col, 0.0 + row[i].value};
+      out[merged++] = {out[i].col, 0.0 + out[i].value};
     }
   }
-  row.resize(out);
   size_t kept = 0;
-  for (RowEntry& e : row) {
+  for (size_t i = 0; i < merged; ++i) {
+    RowEntry e = out[i];
     if (log_scale_dense_) e.value = std::log1p(e.value);
     if (!column_scale_.empty()) {
       e.value *= column_scale_[static_cast<size_t>(e.col)];
     }
-    if (e.value != 0.0) row[kept++] = e;
+    if (e.value != 0.0) out[kept++] = e;
   }
-  row.resize(kept);
-  return row;
+  return kept;
 }
 
 std::vector<double> DatasetVertexFeatures::DensifyRow(

@@ -9,6 +9,7 @@
 #define DEEPMAP_KERNELS_VERTEX_FEATURE_MAP_H_
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -103,6 +104,14 @@ class DatasetVertexFeatures {
   /// nonnegative, so a dropped entry is exactly +0.0 there). This is what
   /// serving-time preprocessing uses for request graphs.
   std::vector<RowEntry> SparseRow(const SparseFeatureMap& map) const;
+
+  /// SparseRow of the map whose (id, count) pairs, by ascending id, are
+  /// entries[0, k), written to out[0, return value); `out` has room for k.
+  /// One stable insertion sort by column and no allocation: the serve path
+  /// builds a WL vertex's row from its H+1 colors this way, without a
+  /// SparseFeatureMap. SparseRow(map) is this over the map's entries.
+  size_t SparseRowInto(const std::pair<FeatureId, double>* entries, size_t k,
+                       RowEntry* out) const;
 
   /// SparseRow(map) scattered into a zero vector of length dim().
   std::vector<double> DensifyRow(const SparseFeatureMap& map) const;

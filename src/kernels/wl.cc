@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <memory>
 #include <numeric>
 #include <random>
 
@@ -34,23 +35,85 @@ uint64_t FoldedMultiply(uint64_t a, uint64_t b) {
          static_cast<uint64_t>(product >> 64);
 }
 
+/// int64_t per arena block. A signature is a vertex's color and its
+/// neighbors', so only a vertex of degree >= 8192 needs a block of its own.
+constexpr size_t kBlockSize = 8192;
+constexpr size_t kInitialSlots = 16;  // a power of two
+
 }  // namespace
 
-size_t WlRefinement::SignatureHash::operator()(
-    const std::vector<int64_t>& signature) const {
-  const uint64_t multiplier = seed | 1;
-  uint64_t h = seed ^ signature.size();
-  for (int64_t color : signature) {
-    h = FoldedMultiply(h ^ static_cast<uint64_t>(color), multiplier);
+WlRefinement::Dictionary::Dictionary(uint64_t seed)
+    : seed_(seed), slots_(kInitialSlots, kEmptySlot) {}
+
+uint64_t WlRefinement::Dictionary::Hash(const int64_t* signature,
+                                        size_t length) const {
+  const uint64_t multiplier = seed_ | 1;
+  uint64_t h = seed_ ^ length;
+  for (size_t i = 0; i < length; ++i) {
+    h = FoldedMultiply(h ^ static_cast<uint64_t>(signature[i]), multiplier);
   }
-  return static_cast<size_t>(h);
+  return h;
+}
+
+int64_t WlRefinement::Dictionary::FindOrInsert(const int64_t* signature,
+                                               size_t length) {
+  const uint64_t hash = Hash(signature, length);
+  const size_t mask = slots_.size() - 1;
+  size_t slot = hash & mask;
+  for (; slots_[slot] != kEmptySlot; slot = (slot + 1) & mask) {
+    const uint32_t index = slots_[slot];
+    const Entry& entry = entries_[index];
+    if (entry.hash == hash && entry.length == length &&
+        std::equal(signature, signature + length, entry.key)) {
+      return index;
+    }
+  }
+  // A new signature: the next entry, and so the next color id.
+  DEEPMAP_CHECK_LT(entries_.size(), size_t{kEmptySlot});
+  const auto index = static_cast<uint32_t>(entries_.size());
+  entries_.push_back({hash, Store(signature, length), length});
+  slots_[slot] = index;
+  if (2 * entries_.size() > slots_.size()) Grow();
+  return index;
+}
+
+const int64_t* WlRefinement::Dictionary::Store(const int64_t* signature,
+                                               size_t length) {
+  int64_t* copy;
+  if (length > kBlockSize) {
+    // Its own block; the current block keeps its free tail.
+    blocks_.push_back(std::make_unique_for_overwrite<int64_t[]>(length));
+    copy = blocks_.back().get();
+  } else {
+    if (length > block_free_) {
+      blocks_.push_back(std::make_unique_for_overwrite<int64_t[]>(kBlockSize));
+      block_next_ = blocks_.back().get();
+      block_free_ = kBlockSize;
+    }
+    copy = block_next_;
+    block_next_ += length;
+    block_free_ -= length;
+  }
+  std::copy(signature, signature + length, copy);
+  return copy;
+}
+
+void WlRefinement::Dictionary::Grow() {
+  std::vector<uint32_t> slots(2 * slots_.size(), kEmptySlot);
+  const size_t mask = slots.size() - 1;
+  for (size_t index = 0; index < entries_.size(); ++index) {
+    size_t slot = entries_[index].hash & mask;
+    while (slots[slot] != kEmptySlot) slot = (slot + 1) & mask;
+    slots[slot] = static_cast<uint32_t>(index);
+  }
+  slots_.swap(slots);
 }
 
 WlRefinement::WlRefinement(const WlConfig& config) : config_(config) {
   DEEPMAP_CHECK_GE(config.iterations, 0);
   dictionaries_.reserve(static_cast<size_t>(config.iterations));
   for (int h = 0; h < config.iterations; ++h) {
-    dictionaries_.emplace_back(0, SignatureHash{ProcessHashSeed()});
+    dictionaries_.emplace_back(ProcessHashSeed());
   }
 }
 
@@ -60,8 +123,8 @@ std::vector<std::vector<int64_t>> WlRefinement::Refine(const graph::Graph& g) {
   colors[0].resize(n);
   for (graph::Vertex v = 0; v < n; ++v) colors[0][v] = g.GetLabel(v);
   std::vector<graph::Vertex> by_color(static_cast<size_t>(n));
-  // One reusable signature buffer: the dictionary lookup is by value, so the
-  // buffer is only copied into the table on a miss (a new color).
+  // One reusable signature buffer: the dictionary copies it into its arena
+  // only on a miss (a new color).
   std::vector<int64_t> signature;
   for (int h = 1; h <= config_.iterations; ++h) {
     const std::vector<int64_t>& prev = colors[h - 1];
@@ -81,12 +144,7 @@ std::vector<std::vector<int64_t>> WlRefinement::Refine(const graph::Graph& g) {
       for (graph::Vertex u : adjacency.Neighbors(v)) {
         signature.push_back(prev[u]);
       }
-      auto it = dict.find(signature);
-      if (it == dict.end()) {
-        const auto id = static_cast<int64_t>(dict.size());
-        it = dict.emplace(signature, id).first;
-      }
-      colors[h][v] = it->second;
+      colors[h][v] = dict.FindOrInsert(signature.data(), signature.size());
     }
   }
   return colors;

@@ -14,17 +14,29 @@
 // built in that order (graph::OrderedAdjacency), so every neighbor list — and
 // with it every signature — comes out already sorted (the counting-sort
 // construction of Shervashidze et al. 2011) instead of being sorted per
-// vertex. Signatures are looked up in a hash table per iteration. A new
-// signature gets id = the dictionary's size at its first insertion, and the
-// vertices of a graph are looked up in ascending id order, so the ids depend
-// only on the sequence of graphs refined, never on the hash. The table's
-// hash is seeded per process: nothing iterates it, and a seed unknown to
-// clients keeps crafted request labels from forcing long collision chains.
+// vertex.
+//
+// Each iteration's dictionary is one flat table, not a node-based map:
+//   - signatures are copied once into an arena of fixed-size int64_t blocks;
+//   - one record per entry holds its hash, a pointer to its signature in the
+//     arena and its length, and an entry's index in that array IS its color
+//     id: a new signature gets id = the number of entries so far;
+//   - an open-addressing slot array of entry indices, kept at most half
+//     full, is probed linearly from the signature's hash.
+// The vertices of a graph are looked up in vertex order, so the ids depend
+// only on the sequence of graphs refined, never on the hash or the slot
+// layout. The arena is chunked rather than one growing vector: doubling a
+// vector would hold the old and the new buffer at once, and a block never
+// moves, so the entries' key pointers stay valid. A signature never
+// straddles two blocks; one longer than a block gets a block of its own. The
+// hash is seeded per process: nothing iterates the table, and a seed unknown
+// to clients keeps crafted request labels from forcing long probe runs.
 #ifndef DEEPMAP_KERNELS_WL_H_
 #define DEEPMAP_KERNELS_WL_H_
 
+#include <cstddef>
 #include <cstdint>
-#include <unordered_map>
+#include <memory>
 #include <vector>
 
 #include "graph/graph.h"
@@ -54,17 +66,40 @@ class WlRefinement {
   size_t NumColorsAtIteration(int h) const;
 
  private:
-  /// Seeded hash of a signature (the seed is drawn once per process).
-  struct SignatureHash {
-    uint64_t seed;
-    size_t operator()(const std::vector<int64_t>& signature) const;
+  /// One iteration's signature -> color dictionary (see the file comment).
+  class Dictionary {
+   public:
+    explicit Dictionary(uint64_t seed);
+
+    /// Color id of `signature[0, length)`, inserted as id size() if new.
+    int64_t FindOrInsert(const int64_t* signature, size_t length);
+
+    size_t size() const { return entries_.size(); }
+
+   private:
+    struct Entry {
+      uint64_t hash;
+      const int64_t* key;  // into blocks_
+      size_t length;
+    };
+    static constexpr uint32_t kEmptySlot = ~uint32_t{0};
+
+    uint64_t Hash(const int64_t* signature, size_t length) const;
+    /// Copies a signature into the arena; the copy never moves.
+    const int64_t* Store(const int64_t* signature, size_t length);
+    /// Doubles the slot array and re-places every entry by its hash.
+    void Grow();
+
+    uint64_t seed_;
+    std::vector<std::unique_ptr<int64_t[]>> blocks_;
+    int64_t* block_next_ = nullptr;  // free tail of the current block
+    size_t block_free_ = 0;          // its length
+    std::vector<Entry> entries_;  // index == color id
+    std::vector<uint32_t> slots_;  // entry index or kEmptySlot
   };
-  using Dictionary =
-      std::unordered_map<std::vector<int64_t>, int64_t, SignatureHash>;
 
   WlConfig config_;
-  // One signature -> color dictionary per iteration (1-based; iteration 0
-  // uses raw labels).
+  // One dictionary per iteration (1-based; iteration 0 uses raw labels).
   std::vector<Dictionary> dictionaries_;
 };
 

@@ -105,6 +105,8 @@ ServeMetrics::ServeMetrics(obs::MetricsRegistry* registry)
                                  "running sum of observed queue depths");
   max_queue_depth_ = &r.GetGauge("deepmap_serve_queue_depth_max",
                                  "high-water mark of the batcher queue");
+  wl_colors_ = &r.GetGauge("deepmap_serve_wl_colors",
+                           "WL color dictionary entries, all iterations");
   queue_.histogram = &r.GetHistogram(
       "deepmap_serve_queue_seconds", {}, "submit -> batch dispatch");
   preprocess_.histogram =
@@ -173,6 +175,10 @@ void ServeMetrics::RecordQueueDepth(size_t depth) {
   queue_depth_samples_->Increment();
   queue_depth_sum_->Add(static_cast<double>(depth));
   max_queue_depth_->SetMax(static_cast<double>(depth));
+}
+
+void ServeMetrics::RecordWlColors(size_t colors) {
+  wl_colors_->Set(static_cast<double>(colors));
 }
 
 void ServeMetrics::RecordRejected() {
@@ -301,6 +307,10 @@ int64_t ServeMetrics::dynamic_incremental_hits() const {
 
 int64_t ServeMetrics::dynamic_full_recomputes() const {
   return dynamic_full_recomputes_->Value();
+}
+
+int64_t ServeMetrics::wl_colors() const {
+  return static_cast<int64_t>(wl_colors_->Value());
 }
 
 int64_t ServeMetrics::num_batches() const { return batches_->Value(); }

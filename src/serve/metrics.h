@@ -109,6 +109,10 @@ class ServeMetrics {
   /// graph.
   void RecordDynamicFullRecompute();
 
+  /// Entries of the served model's WL color dictionary
+  /// (Preprocessor::wl_colors), set after each batch.
+  void RecordWlColors(size_t colors);
+
   /// Stage summaries; `stage` is one of "queue", "preprocess", "forward",
   /// "total". Cache hits are excluded from the queue/preprocess/forward
   /// series (they never enter those stages) but included in "total".
@@ -135,6 +139,8 @@ class ServeMetrics {
   int64_t dynamic_updates() const;  // edge updates, not ClassifyDelta calls
   int64_t dynamic_incremental_hits() const;
   int64_t dynamic_full_recomputes() const;
+
+  int64_t wl_colors() const;
 
   int64_t num_batches() const;
   double mean_batch_size() const;
@@ -202,6 +208,7 @@ class ServeMetrics {
   obs::Counter* queue_depth_samples_;
   obs::Gauge* queue_depth_sum_;
   obs::Gauge* max_queue_depth_;
+  obs::Gauge* wl_colors_;
 
   mutable std::mutex mu_;  // guards Series::samples and batch_sizes_
   Series queue_;

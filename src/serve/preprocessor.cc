@@ -1,6 +1,7 @@
 #include "serve/preprocessor.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/failpoint.h"
 #include "core/receptive_field.h"
@@ -11,20 +12,51 @@
 
 namespace deepmap::serve {
 
+namespace {
+
+/// The reference set's vertex feature maps and densification scheme. For
+/// WL the maps come from `refinery`, which is left holding the training
+/// dictionaries: the one refinement of the reference set both builds the
+/// vocabulary and replays the dictionary that request graphs are colored
+/// with. WlRefinement is deterministic, so this equals
+/// ComputeDatasetVertexFeatures, which refines with a refinery of its own.
+kernels::DatasetVertexFeatures ReferenceFeatures(
+    const graph::GraphDataset& reference,
+    const kernels::VertexFeatureConfig& config,
+    kernels::WlRefinement* refinery) {
+  if (refinery == nullptr) {
+    return kernels::ComputeDatasetVertexFeatures(reference, config);
+  }
+  std::vector<std::vector<kernels::SparseFeatureMap>> maps;
+  maps.reserve(reference.graphs().size());
+  for (const graph::Graph& g : reference.graphs()) {
+    maps.push_back(kernels::VertexWlFeatureMaps(g, *refinery));
+  }
+  return kernels::DatasetVertexFeatures(std::move(maps), config.max_dense_dim,
+                                        config.log_scale_dense,
+                                        config.normalize_dense);
+}
+
+size_t DictionaryEntries(const kernels::WlRefinement& refinery) {
+  size_t total = 0;
+  for (int h = 1; h <= refinery.iterations(); ++h) {
+    total += refinery.NumColorsAtIteration(h);
+  }
+  return total;
+}
+
+}  // namespace
+
 Preprocessor::Preprocessor(const graph::GraphDataset& reference,
                            const core::DeepMapConfig& config)
     : config_(config),
-      features_(kernels::ComputeDatasetVertexFeatures(reference,
-                                                      config.features)),
+      refinery_(config.features.kind == kernels::FeatureMapKind::kWlSubtree
+                    ? std::make_unique<kernels::WlRefinement>(
+                          config.features.wl)
+                    : nullptr),
+      features_(ReferenceFeatures(reference, config.features, refinery_.get())),
       sequence_length_(std::max(1, reference.MaxVertices())) {
-  if (config_.features.kind == kernels::FeatureMapKind::kWlSubtree) {
-    // Replay the training refinement so request graphs are colored with the
-    // same dictionary ids the vocabulary (and the model) was built on.
-    // WlRefinement is deterministic, so refining the reference graphs in
-    // dataset order reproduces the training dictionaries exactly.
-    refinery_ = std::make_unique<kernels::WlRefinement>(config_.features.wl);
-    for (const graph::Graph& g : reference.graphs()) refinery_->Refine(g);
-  }
+  if (refinery_ != nullptr) wl_colors_ = DictionaryEntries(*refinery_);
 }
 
 std::vector<kernels::SparseFeatureMap> Preprocessor::ComputeMaps(
@@ -39,14 +71,37 @@ std::vector<kernels::SparseFeatureMap> Preprocessor::ComputeMaps(
     }
     case kernels::FeatureMapKind::kShortestPath:
       return kernels::VertexSpFeatureMaps(g, config_.features.shortest_path);
-    case kernels::FeatureMapKind::kWlSubtree: {
-      std::lock_guard<std::mutex> lock(mu_);  // dictionary may grow
-      return kernels::VertexWlFeatureMaps(g, *refinery_);
-    }
     case kernels::FeatureMapKind::kTreePp:
       return kernels::VertexTreePpFeatureMaps(g, config_.features.treepp);
+    case kernels::FeatureMapKind::kWlSubtree:
+      break;  // PreprocessSparse builds WL rows from the colors
   }
   return {};
+}
+
+void Preprocessor::AppendWlRows(const graph::Graph& g, SparseInput* input) {
+  std::vector<std::vector<int64_t>> colors;
+  {
+    std::lock_guard<std::mutex> lock(mu_);  // the dictionary may grow
+    colors = refinery_->Refine(g);
+    wl_colors_.store(DictionaryEntries(*refinery_), std::memory_order_relaxed);
+  }
+  // Vertex v's map is one count per iteration, (h, colors[h][v]) -> 1, and
+  // PackWlFeature orders those ids by h.
+  const size_t k = colors.size();
+  std::vector<std::pair<kernels::FeatureId, double>> ids(k);
+  std::vector<kernels::RowEntry> row(k);
+  for (int v = 0; v < g.NumVertices(); ++v) {
+    for (size_t h = 0; h < k; ++h) {
+      ids[h] = {kernels::PackWlFeature(static_cast<int>(h), colors[h][v]),
+                1.0};
+    }
+    const size_t nonzeros = features_.SparseRowInto(ids.data(), k, row.data());
+    for (size_t i = 0; i < nonzeros; ++i) {
+      input->Push(row[i].col, static_cast<float>(row[i].value));
+    }
+    input->EndRow();
+  }
 }
 
 StatusOr<SparseInput> Preprocessor::PreprocessSparse(const graph::Graph& g) {
@@ -73,20 +128,21 @@ StatusOr<SparseInput> Preprocessor::PreprocessSparse(const graph::Graph& g) {
   DEEPMAP_INJECT_FAULT("serve.preprocess");
   const int r = config_.receptive_field_size;
 
-  const std::vector<kernels::SparseFeatureMap> maps = ComputeMaps(g);
-
   // Row v is vertex v's nonzeros, stored once however many receptive
   // fields the vertex appears in.
   SparseInput input;
   input.w = sequence_length_;
   input.r = r;
   input.m = features_.dim();
-  for (int v = 0; v < n; ++v) {
-    for (const kernels::RowEntry& e :
-         features_.SparseRow(maps[static_cast<size_t>(v)])) {
-      input.Push(e.col, static_cast<float>(e.value));
+  if (refinery_ != nullptr) {
+    AppendWlRows(g, &input);
+  } else {
+    for (const kernels::SparseFeatureMap& map : ComputeMaps(g)) {
+      for (const kernels::RowEntry& e : features_.SparseRow(map)) {
+        input.Push(e.col, static_cast<float>(e.value));
+      }
+      input.EndRow();
     }
-    input.EndRow();
   }
 
   Rng* alignment_rng = nullptr;

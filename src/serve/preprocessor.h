@@ -6,15 +6,19 @@
 // serving time the same state must be reproduced:
 //   - the densification scheme (vocabulary / hashing, log scaling, column
 //     scales) is rebuilt from the reference (training) dataset and frozen,
-//   - the WL color dictionary is replayed over the reference graphs so that
-//     request-graph colors are assigned the same ids the model was trained
-//     on (WlRefinement dictionaries are shared, deterministic state),
+//   - the WL color dictionary is the one the reference graphs were refined
+//     with, so request-graph colors are assigned the same ids the model was
+//     trained on (WlRefinement dictionaries are shared, deterministic
+//     state); the reference set is refined once, by the Preprocessor's own
+//     refinery, which both yields the vocabulary and keeps the dictionary,
 //   - the sequence length w is pinned to the training-time maximum.
 // Request graphs then go through the identical per-graph steps, except that
 // nothing is densified: PreprocessSparse emits each vertex's nonzero
-// (column, value) pairs once (DatasetVertexFeatures::SparseRow, converted
-// to float) and a [w, r] table of which vertex fills each receptive-field
-// position — a SparseInput, which CompiledModel consumes directly.
+// (column, value) pairs once (converted to float) and a [w, r] table of
+// which vertex fills each receptive-field position — a SparseInput, which
+// CompiledModel consumes directly. A WL vertex's row is built straight from
+// its H+1 colors (DatasetVertexFeatures::SparseRowInto), with no per-vertex
+// SparseFeatureMap; the other kinds go through their maps and SparseRow.
 // Preprocess returns the dense [w*r, m] tensor the offline pipeline builds
 // (SparseInput::ToDense of the same result) for callers that compare
 // against it; the serve path never builds it.
@@ -30,6 +34,8 @@
 #ifndef DEEPMAP_SERVE_PREPROCESSOR_H_
 #define DEEPMAP_SERVE_PREPROCESSOR_H_
 
+#include <atomic>
+#include <cstddef>
 #include <memory>
 #include <mutex>
 #include <vector>
@@ -66,15 +72,29 @@ class Preprocessor {
   /// PreprocessSparse(g) scattered into the dense [w*r, m] input.
   StatusOr<nn::Tensor> Preprocess(const graph::Graph& g);
 
+  /// Entries of the WL color dictionary, summed over the iterations (0 for
+  /// the other kinds). Grows with every novel signature a request brings;
+  /// read without taking the refinement lock.
+  size_t wl_colors() const {
+    return wl_colors_.load(std::memory_order_relaxed);
+  }
+
  private:
-  /// Per-vertex sparse maps for a request graph (locks for WL).
+  /// Per-vertex sparse maps for a request graph of a non-WL kind.
   std::vector<kernels::SparseFeatureMap> ComputeMaps(const graph::Graph& g);
+  /// Refines `g` (under mu_) and appends one row per vertex to `input`,
+  /// each built from the vertex's H+1 colors.
+  void AppendWlRows(const graph::Graph& g, SparseInput* input);
 
   core::DeepMapConfig config_;
+  std::mutex mu_;  // guards refinery_
+  // Declared before features_: the reference set is refined once, by the
+  // refinery that then colors request graphs (null for the other kinds).
+  std::unique_ptr<kernels::WlRefinement> refinery_;
+  // refinery_'s dictionary entries, refreshed under mu_ after each Refine.
+  std::atomic<size_t> wl_colors_{0};
   kernels::DatasetVertexFeatures features_;
   int sequence_length_;
-  std::mutex mu_;  // guards refinery_
-  std::unique_ptr<kernels::WlRefinement> refinery_;
 };
 
 }  // namespace deepmap::serve

@@ -179,6 +179,7 @@ void BatchPipeline::Complete(State* state) {
   DEEPMAP_TRACE_SPAN("serve.complete", "serve");
   const size_t n = state->batch.size();
   metrics_->RecordBatch(static_cast<int>(n));
+  metrics_->RecordWlColors(state->model->preprocessor().wl_colors());
   for (size_t i = 0; i < n; ++i) {
     ServeRequest& request = state->batch[i];
     RequestTiming timing;

@@ -89,7 +89,9 @@ TEST(EigenvectorCentralityTest, DisconnectedStarCenterIsGlobalMax) {
   }
   // The star center must outrank everything, including the denser triangle.
   for (int v = 0; v < 7; ++v) {
-    if (v != 3) EXPECT_GT(c[3], c[v]) << "vertex " << v;
+    if (v != 3) {
+      EXPECT_GT(c[3], c[v]) << "vertex " << v;
+    }
   }
 }
 

@@ -2,7 +2,7 @@
 // percentiles (the NearestRankIndex regression suite), agreement between the
 // retained-sample percentiles and the registry-histogram estimates, and the
 // end-to-end invariant that every Submit increments exactly one stage
-// histogram chain in the engine's registry.
+// histogram chain in the engine's registry, and the WL dictionary gauge.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -305,6 +305,47 @@ TEST(ObsServeIntegrationTest, CacheHitsSkipPipelineStages) {
   EXPECT_EQ(metrics.stage_count("total"), 2);
   EXPECT_EQ(metrics.stage_count("preprocess"), 1);
   EXPECT_EQ(metrics.stage_count("forward"), 1);
+}
+
+TEST(ObsServeIntegrationTest, WlColorsGaugeGrowsOnlyWithNovelSignatures) {
+  ObsBundle& b = Bundle();
+  InferenceEngine::Options options;
+  options.cache_capacity = 0;  // a repeat is refined again, not answered
+  options.batcher.max_batch = 4;
+  options.batcher.max_wait_us = 100;
+  InferenceEngine engine(b.servable, options);
+
+  datasets::DatasetOptions novel_options;
+  novel_options.min_graphs = 8;
+  novel_options.seed = 977;
+  auto novel_or = datasets::MakeDataset("KKI", novel_options);
+  ASSERT_TRUE(novel_or.ok());
+  std::vector<graph::Graph> novel;
+  for (const graph::Graph& g : novel_or.value().graphs()) {
+    if (g.NumVertices() <= b.servable->sequence_length()) novel.push_back(g);
+  }
+  ASSERT_FALSE(novel.empty());
+
+  auto serve_all = [&] {
+    std::vector<std::future<StatusOr<Prediction>>> futures;
+    for (const graph::Graph& g : novel) futures.push_back(engine.Submit(g));
+    for (auto& f : futures) ASSERT_TRUE(f.get().ok());
+    engine.Drain();
+  };
+  const auto before =
+      static_cast<int64_t>(b.servable->preprocessor().wl_colors());
+  serve_all();
+  const int64_t after_novel = engine.metrics().wl_colors();
+  EXPECT_GT(after_novel, before);
+  EXPECT_EQ(after_novel,
+            static_cast<int64_t>(b.servable->preprocessor().wl_colors()));
+  obs::MetricsRegistry& registry =
+      const_cast<ServeMetrics&>(engine.metrics()).registry();
+  EXPECT_EQ(registry.GetGauge("deepmap_serve_wl_colors").Value(),
+            static_cast<double>(after_novel));
+
+  serve_all();  // the same graphs again: every signature is known
+  EXPECT_EQ(engine.metrics().wl_colors(), after_novel);
 }
 
 }  // namespace

@@ -12,13 +12,18 @@
 //   - so Preprocessor::PreprocessSparse and core::BuildDeepMapInput give the
 //     bytes the reference pipeline gives, on every Table-1 synthetic ×
 //     {eigenvector, degree, PageRank, betweenness} × r ∈ {3, 5, 10}, plus
-//     R-MAT, multi-component, isolated-vertex and one-vertex graphs.
+//     R-MAT, multi-component, isolated-vertex and one-vertex graphs;
+//   - the flat WL dictionary (chunked signature arena, open-addressing slot
+//     array, id = entry index) keeps those colours across a signature longer
+//     than an arena block and across many slot-array growths, and
+//     ModelRegistry::Load leaves the dictionary of one reference replay.
 // The references below are the implementations these stages replaced.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <filesystem>
 #include <map>
 #include <numeric>
 #include <string>
@@ -34,6 +39,8 @@
 #include "graph/centrality.h"
 #include "kernels/vertex_feature_map.h"
 #include "kernels/wl.h"
+#include "nn/serialization.h"
+#include "serve/model_registry.h"
 #include "serve/preprocessor.h"
 
 namespace deepmap {
@@ -480,6 +487,112 @@ std::string TestName(const ::testing::TestParamInfo<std::string>& info) {
 INSTANTIATE_TEST_SUITE_P(Table1, PreprocessEquivTest,
                          ::testing::ValuesIn(datasets::DatasetNames()),
                          TestName);
+
+// ---------------------------------------------------------------------------
+// The flat WL dictionary
+
+/// Refines `graphs` in order with a WlRefinement and a ReferenceWl, twice,
+/// comparing colours and dictionary sizes after every graph. The second pass
+/// looks up again every signature the first one stored.
+void ExpectSameRefinement(const std::vector<Graph>& graphs, int iterations) {
+  kernels::WlRefinement refinery(kernels::WlConfig{iterations});
+  ReferenceWl expected(iterations);
+  for (int pass = 0; pass < 2; ++pass) {
+    for (size_t i = 0; i < graphs.size(); ++i) {
+      ASSERT_EQ(refinery.Refine(graphs[i]), expected.Refine(graphs[i]))
+          << "pass " << pass << " graph " << i;
+      for (int h = 1; h <= iterations; ++h) {
+        ASSERT_EQ(refinery.NumColorsAtIteration(h),
+                  expected.NumColorsAtIteration(h))
+            << "pass " << pass << " graph " << i << " h=" << h;
+      }
+    }
+  }
+}
+
+TEST(WlDictionaryTest, HubSignatureLongerThanOneArenaBlock) {
+  // An arena block holds 8192 colours and a hub's signature is 1 + its
+  // degree long: 8191 leaves fill a block exactly, 9000 and 20000 need a
+  // block of their own. Small graphs in between share the blocks' tails.
+  Rng rng(5);
+  std::vector<Graph> graphs;
+  for (int leaves : {8191, 9000, 20000}) {
+    Graph star(leaves + 1);
+    for (Vertex leaf = 1; leaf <= leaves; ++leaf) star.AddEdge(0, leaf);
+    for (Vertex v = 0; v <= leaves; ++v) star.SetLabel(v, rng.UniformInt(0, 3));
+    graphs.push_back(star);
+    graphs.push_back(Renumbered(star, 3 + leaves));
+    for (Graph& g : EdgeCaseGraphs(40, 100 + leaves)) {
+      graphs.push_back(std::move(g));
+    }
+  }
+  ExpectSameRefinement(graphs, 3);
+}
+
+TEST(WlDictionaryTest, SlotArrayGrowthKeepsIds) {
+  // 200 graphs of 40 vertices with labels from 500: nearly every
+  // signature is new, so each iteration holds thousands of entries. The
+  // slot array starts at 16 slots and doubles whenever it is more than half
+  // full, so that is at least 8 growths, and the signatures fill several
+  // arena blocks, so some end at a block's end.
+  Rng rng(11);
+  std::vector<Graph> graphs;
+  for (int i = 0; i < 200; ++i) {
+    Graph g = datasets::ErdosRenyi(40, 0.1, rng);
+    for (Vertex v = 0; v < g.NumVertices(); ++v) {
+      g.SetLabel(v, rng.UniformInt(0, 499));
+    }
+    graphs.push_back(std::move(g));
+  }
+  ExpectSameRefinement(graphs, 2);
+  kernels::WlRefinement refinery(kernels::WlConfig{2});
+  for (const Graph& g : graphs) refinery.Refine(g);
+  EXPECT_GT(refinery.NumColorsAtIteration(1), 16u << 8);
+  EXPECT_GT(refinery.NumColorsAtIteration(2), 16u << 8);
+}
+
+TEST(WlDictionaryTest, LoadLeavesOneReplayOfTheReferenceSet) {
+  for (const std::string name : {"PTC_MM", "COLLAB"}) {
+    SCOPED_TRACE(name);
+    const graph::GraphDataset reference = Synthetic(name, 8, 42);
+    core::DeepMapConfig config;
+    config.features.max_dense_dim = 64;
+    const kernels::DatasetVertexFeatures expected =
+        kernels::ComputeDatasetVertexFeatures(reference, config.features);
+    core::DeepMapModel model(expected.dim(),
+                             std::max(1, reference.MaxVertices()),
+                             reference.NumClasses(), config);
+    const std::filesystem::path path =
+        std::filesystem::temp_directory_path() /
+        ("preprocess_equiv_load_" + name + ".params");
+    ASSERT_TRUE(nn::SaveParameters(model.Params(), path.string()).ok());
+    serve::ModelRegistry registry;
+    const Status loaded = registry.Load(name, reference, config, path.string());
+    std::filesystem::remove(path);
+    ASSERT_TRUE(loaded.ok()) << loaded.ToString();
+    serve::Preprocessor& preprocessor = registry.Get(name)->preprocessor();
+
+    ReferenceWl wl(config.features.wl.iterations);
+    for (const Graph& g : reference.graphs()) wl.Refine(g);
+    size_t replayed = 0;
+    for (int h = 1; h <= config.features.wl.iterations; ++h) {
+      replayed += wl.NumColorsAtIteration(h);
+    }
+    EXPECT_EQ(preprocessor.wl_colors(), replayed);
+
+    // The maps and the densification scheme are the offline pipeline's.
+    const kernels::DatasetVertexFeatures& got = preprocessor.features();
+    EXPECT_EQ(got.dim(), expected.dim());
+    EXPECT_EQ(got.uses_hashing(), expected.uses_hashing());
+    EXPECT_TRUE(SameDoubles(got.column_scale(), expected.column_scale()));
+    ASSERT_EQ(got.all().size(), expected.all().size());
+    for (int g = 0; g < reference.size(); ++g) {
+      for (Vertex v = 0; v < reference.graph(g).NumVertices(); ++v) {
+        ASSERT_EQ(got.Get(g, v).entries(), expected.Get(g, v).entries());
+      }
+    }
+  }
+}
 
 }  // namespace
 }  // namespace deepmap
