@@ -10,9 +10,10 @@
 //      increment, histogram observe, and a disabled trace span (one relaxed
 //      atomic load + branch). Report ns/op.
 //   2. Train a small DEEPMAP-WL model and serve a request stream with
-//      tracing off. Scrape the engine registry and the process-wide default
-//      registry before/after to count exactly how many instrument updates
-//      the stream caused, including pool/GEMM/fail-point instrumentation.
+//      tracing off through a one-replica ServeCluster. Scrape the cluster
+//      registry and the process-wide default registry before/after to count
+//      exactly how many instrument updates the stream caused, including
+//      pool/GEMM/fail-point instrumentation.
 //   3. Budget check: updates_per_request x worst primitive cost must stay
 //      under 2% of the measured per-request latency. This bounds the
 //      instrumentation overhead from measured quantities instead of
@@ -31,13 +32,14 @@
 #include <vector>
 
 #include "bench_json.h"
+#include "common/parallel.h"
 #include "common/stopwatch.h"
 #include "core/deepmap.h"
 #include "datasets/registry.h"
 #include "nn/model.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "serve/engine.h"
+#include "serve/cluster.h"
 
 using namespace deepmap;
 
@@ -146,24 +148,25 @@ int64_t RegistryUpdates(obs::MetricsRegistry& registry) {
 struct ServeRun {
   double seconds = 0.0;
   double per_request_us = 0.0;
-  int64_t instrument_updates = 0;  // engine registry + default registry delta
+  int64_t instrument_updates = 0;  // cluster registry + default registry delta
 };
 
 ServeRun ServeStream(const std::shared_ptr<serve::ServableModel>& servable,
                      const std::vector<const graph::Graph*>& requests) {
-  serve::InferenceEngine::Options options;
-  options.batcher.max_batch = 16;
-  options.batcher.max_wait_us = 500;
-  options.batcher.queue_capacity = requests.size() + 16;
+  serve::ServeCluster::Options options;
+  options.num_replicas = 1;
+  options.replica.max_batch = 16;
+  options.replica.queue_capacity = requests.size() + 16;
+  options.replica.num_threads = DefaultNumThreads();
   options.cache_capacity = 0;  // full pipeline per request
-  serve::InferenceEngine engine(servable, options);
+  serve::ServeCluster cluster(servable, options);
 
   const int64_t default_before =
       RegistryUpdates(obs::MetricsRegistry::Default());
   Stopwatch timer;
   std::vector<std::future<StatusOr<serve::Prediction>>> futures;
   futures.reserve(requests.size());
-  for (const graph::Graph* g : requests) futures.push_back(engine.Submit(*g));
+  for (const graph::Graph* g : requests) futures.push_back(cluster.Submit(*g));
   for (auto& f : futures) {
     auto result = f.get();
     if (!result.ok()) {
@@ -177,7 +180,7 @@ ServeRun ServeStream(const std::shared_ptr<serve::ServableModel>& servable,
   run.per_request_us =
       run.seconds / static_cast<double>(requests.size()) * 1e6;
   run.instrument_updates =
-      RegistryUpdates(const_cast<serve::ServeMetrics&>(engine.metrics())
+      RegistryUpdates(const_cast<serve::ServeMetrics&>(cluster.metrics())
                           .registry()) +
       (RegistryUpdates(obs::MetricsRegistry::Default()) - default_before);
   return run;

@@ -1,4 +1,5 @@
-// Serving throughput: batched engine vs the unbatched single-request path.
+// Serving throughput: a batched ServeCluster vs the unbatched single-request
+// path.
 //
 //   $ ./build/bench/serve_throughput [--requests=N] [--epochs=N] [--full]
 //   $ ./build/bench/serve_throughput --chaos [--out=BENCH_serve_chaos.json]
@@ -8,26 +9,27 @@
 // stream
 //   (a) through the offline single-request path (BuildDeepMapInput +
 //       DeepMapModel::Forward, one graph at a time),
-//   (b) through the InferenceEngine at batch sizes {1, 8, 32, 128} with the
-//       prediction cache disabled, and
-//   (c) through the engine with a warm prediction cache.
+//   (b) through a one-replica ServeCluster at max_batch {1, 8, 32, 128}
+//       with the prediction cache disabled, and
+//   (c) through that cluster with a warm prediction cache.
 // Reports graphs/sec and the speedup over (a). The acceptance target is
 // >= 3x at batch >= 32; the warm-cache pass additionally shows preprocessing
 // being skipped entirely (stage counts stop growing).
 //
 // --chaos sweeps injected preprocessing-fault probabilities over a
-// saturating producer with per-request deadlines, a small admission-
-// controlled queue, and degraded mode on, reporting the outcome mix and
-// latency percentiles per fault rate and writing BENCH_serve_chaos.json.
-// The headline: every submitted request resolves, throughput degrades
-// smoothly, and no outcome goes unaccounted.
+// saturating producer with per-request deadlines, a one-replica cluster
+// with a small queue (64) and degraded mode on, reporting the outcome mix
+// and latency percentiles per fault rate and writing BENCH_serve_chaos.json.
+// Overload shows up as `rejected` (queue full). The headline: every
+// submitted request resolves, throughput degrades smoothly, and no outcome
+// goes unaccounted.
 //
-// --cluster replays the overload burst that saturates one engine (256
-// requests into a 64-slot queue with admission armed) through ServeClusters
-// of 1, 2, and 4 replicas, reporting offered vs sustained QPS and the shed
+// --cluster replays a 256-request overload burst through ServeClusters of
+// 1, 2, and 4 replicas, reporting offered vs sustained QPS and the shed
 // rate per configuration and writing BENCH_serve_cluster.json. Gates: the
 // 4-replica cluster absorbs the burst (shed rate < 2%, p99 inside the 5 s
-// deadline) and its predictions are byte-identical to the single engine's.
+// deadline) and its predictions are byte-identical to the one-replica
+// cluster's.
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -46,9 +48,9 @@
 #include "common/table.h"
 #include "core/deepmap.h"
 #include "datasets/registry.h"
+#include "common/parallel.h"
 #include "nn/model.h"
 #include "serve/cluster.h"
-#include "serve/engine.h"
 
 using namespace deepmap;
 
@@ -97,8 +99,8 @@ BenchArgs ParseArgs(int argc, char** argv) {
     args.epochs = 10;
     args.requests_set = true;
   }
-  // The cluster acceptance scenario is pinned at a 256-request burst (the
-  // load where the overloaded single engine sheds most of the stream).
+  // The cluster acceptance scenario is pinned at a 256-request burst (far
+  // more than one replica's queue holds).
   if (args.cluster && !args.requests_set) args.requests = 256;
   if (!args.out_set) {
     args.out = args.cluster ? "BENCH_serve_cluster.json"
@@ -113,7 +115,7 @@ std::string Fmt(double v, const char* spec = "%.1f") {
   return buf;
 }
 
-struct EngineRun {
+struct SweepRun {
   double graphs_per_sec = 0.0;
   int64_t cache_hits = 0;
   int64_t cache_misses = 0;
@@ -122,28 +124,30 @@ struct EngineRun {
   std::string latency_report;  // per-stage latency table (timed pass only)
 };
 
-EngineRun RunEngine(const std::shared_ptr<serve::ServableModel>& servable,
-                    const std::vector<const graph::Graph*>& requests,
-                    int max_batch, size_t cache_capacity) {
-  serve::InferenceEngine::Options options;
-  options.batcher.max_batch = max_batch;
-  options.batcher.max_wait_us = 2000;
-  options.batcher.queue_capacity = requests.size() + 16;
+/// One sweep row: a one-replica cluster whose pool uses every core.
+SweepRun RunSweep(const std::shared_ptr<serve::ServableModel>& servable,
+                  const std::vector<const graph::Graph*>& requests,
+                  int max_batch, size_t cache_capacity) {
+  serve::ServeCluster::Options options;
+  options.num_replicas = 1;
+  options.replica.max_batch = max_batch;
+  options.replica.queue_capacity = requests.size() + 16;
+  options.replica.num_threads = DefaultNumThreads();
   options.cache_capacity = cache_capacity;
-  serve::InferenceEngine engine(servable, options);
+  serve::ServeCluster cluster(servable, options);
 
   // Warm-cache mode: a first pass populates the cache, the timed pass hits.
   if (cache_capacity > 0) {
     std::vector<std::future<StatusOr<serve::Prediction>>> warmup;
     warmup.reserve(requests.size());
-    for (const graph::Graph* g : requests) warmup.push_back(engine.Submit(*g));
+    for (const graph::Graph* g : requests) warmup.push_back(cluster.Submit(*g));
     for (auto& f : warmup) f.get();
   }
 
   Stopwatch timer;
   std::vector<std::future<StatusOr<serve::Prediction>>> futures;
   futures.reserve(requests.size());
-  for (const graph::Graph* g : requests) futures.push_back(engine.Submit(*g));
+  for (const graph::Graph* g : requests) futures.push_back(cluster.Submit(*g));
   for (auto& f : futures) {
     auto result = f.get();
     if (!result.ok()) {
@@ -154,14 +158,14 @@ EngineRun RunEngine(const std::shared_ptr<serve::ServableModel>& servable,
   }
   const double elapsed = timer.ElapsedSeconds();
 
-  EngineRun run;
+  SweepRun run;
   run.graphs_per_sec = static_cast<double>(requests.size()) / elapsed;
-  run.cache_hits = engine.metrics().cache_hits();
-  run.cache_misses = engine.metrics().cache_misses();
-  run.preprocess_count = engine.metrics().stage_count("preprocess");
-  run.requests = engine.metrics().requests();
+  run.cache_hits = cluster.metrics().cache_hits();
+  run.cache_misses = cluster.metrics().cache_misses();
+  run.preprocess_count = cluster.metrics().stage_count("preprocess");
+  run.requests = cluster.metrics().requests();
   std::ostringstream report;
-  engine.metrics().Print(report);
+  cluster.metrics().Print(report);
   run.latency_report = report.str();
   return run;
 }
@@ -181,7 +185,7 @@ struct ChaosRun {
   int64_t faults_fired = 0;
   double graphs_per_sec = 0.0;
   /// Rate the producer pushed requests at (submissions / submit-loop time)
-  /// vs the rate the engine actually resolved them end to end.
+  /// vs the rate the cluster actually resolved them end to end.
   double offered_qps = 0.0;
   double sustained_qps = 0.0;
   /// Fraction of submissions dropped at admission (shed + rejected).
@@ -191,10 +195,8 @@ struct ChaosRun {
   double p99_us = 0.0;
 };
 
-/// Deterministic seeds for the chaos/cluster sweeps: the fault-injection RNG
-/// stream and the admission controller's shed-decision stream.
+/// Deterministic seed of the chaos sweep's fault-injection RNG stream.
 constexpr uint64_t kFaultSeed = 0xc4a05;
-constexpr uint64_t kAdmissionSeed = 0x5eed;
 
 ChaosRun RunChaos(const std::shared_ptr<serve::ServableModel>& servable,
                   const std::vector<const graph::Graph*>& requests,
@@ -206,17 +208,15 @@ ChaosRun RunChaos(const std::shared_ptr<serve::ServableModel>& servable,
                     FailPointSpec::Probability(fault_probability, kFaultSeed));
   }
 
-  // Overload-shaped configuration: a queue much smaller than the request
-  // stream, admission control armed, per-request deadlines, degraded mode on.
-  serve::InferenceEngine::Options options;
-  options.batcher.max_batch = 16;
-  options.batcher.max_wait_us = 500;
-  options.batcher.queue_capacity = 64;
+  // Overload-shaped configuration: one replica whose queue is much smaller
+  // than the request stream, per-request deadlines, degraded mode on.
+  serve::ServeCluster::Options options;
+  options.num_replicas = 1;
+  options.replica.max_batch = 16;
+  options.replica.queue_capacity = 64;
+  options.replica.enable_degraded = true;
   options.cache_capacity = 0;  // every request exercises the faulty stage
-  options.admission.queue_shed_watermark = 0.75;
-  options.admission.seed = kAdmissionSeed;
-  options.enable_degraded = true;
-  serve::InferenceEngine engine(servable, options);
+  serve::ServeCluster cluster(servable, options);
 
   Stopwatch timer;
   std::vector<std::future<StatusOr<serve::Prediction>>> futures;
@@ -224,7 +224,7 @@ ChaosRun RunChaos(const std::shared_ptr<serve::ServableModel>& servable,
   for (const graph::Graph* g : requests) {
     // Saturating producer: submit as fast as possible, each request with a
     // generous-but-finite deadline.
-    futures.push_back(engine.Submit(
+    futures.push_back(cluster.Submit(
         *g, serve::RequestOptions::WithDeadline(std::chrono::seconds(5))));
   }
   const double submit_elapsed = timer.ElapsedSeconds();
@@ -234,12 +234,12 @@ ChaosRun RunChaos(const std::shared_ptr<serve::ServableModel>& servable,
     ++resolved;
   }
   const double elapsed = timer.ElapsedSeconds();
-  engine.Drain();
+  cluster.Drain();
   // Counters die with the fail point, so snapshot before disarming.
   const int64_t faults_fired = registry.triggers("serve.preprocess");
   registry.DisableAll();
 
-  const serve::ServeMetrics& m = engine.metrics();
+  const serve::ServeMetrics& m = cluster.metrics();
   ChaosRun run;
   run.fault_probability = fault_probability;
   run.submitted = static_cast<int64_t>(requests.size());
@@ -449,9 +449,7 @@ int RunChaosBench(const BenchArgs& args,
   doc.Obj("flags")
       .Set("dataset", args.dataset)
       .Set("requests_per_run", requests.size());
-  doc.Obj("seeds")
-      .Set("fault", int64_t{kFaultSeed})
-      .Set("admission", int64_t{kAdmissionSeed});
+  doc.Obj("seeds").Set("fault", int64_t{kFaultSeed});
   JsonValue& out_runs = doc.Arr("runs");
   for (const ChaosRun& r : runs) {
     out_runs.Push(JsonValue::Object()
@@ -493,8 +491,8 @@ int RunChaosBench(const BenchArgs& args,
 }
 
 // ---------------------------------------------------------------------------
-// Cluster mode: the 256-request overload burst that saturates one engine,
-// replayed through ServeClusters of 1, 2, and 4 replicas.
+// Cluster mode: a 256-request overload burst replayed through ServeClusters
+// of 1, 2, and 4 replicas.
 
 /// Per-replica configuration of the cluster runs (echoed under "flags").
 constexpr int kClusterMaxBatch = 16;
@@ -503,7 +501,7 @@ constexpr size_t kClusterReplicaThreads = 1;
 
 struct ClusterRun {
   std::string label;
-  int replicas = 0;  // 0 = single InferenceEngine baseline
+  int replicas = 0;
   int64_t submitted = 0;
   int64_t ok = 0;
   int64_t degraded = 0;
@@ -552,38 +550,6 @@ void FinishClusterRun(ClusterRun* run, const serve::ServeMetrics& m,
   }
 }
 
-/// The overloaded single-engine baseline: same configuration as the chaos
-/// sweep at fault probability 0 (queue 64, admission armed, 5 s deadlines).
-ClusterRun RunOverloadedEngine(
-    const std::shared_ptr<serve::ServableModel>& servable,
-    const std::vector<const graph::Graph*>& requests) {
-  serve::InferenceEngine::Options options;
-  options.batcher.max_batch = 16;
-  options.batcher.max_wait_us = 500;
-  options.batcher.queue_capacity = 64;
-  options.cache_capacity = 0;
-  options.admission.queue_shed_watermark = 0.75;
-  options.admission.seed = kAdmissionSeed;
-  serve::InferenceEngine engine(servable, options);
-
-  ClusterRun run;
-  run.label = "engine (queue 64)";
-  run.submitted = static_cast<int64_t>(requests.size());
-  Stopwatch timer;
-  std::vector<std::future<StatusOr<serve::Prediction>>> futures;
-  futures.reserve(requests.size());
-  for (const graph::Graph* g : requests) {
-    futures.push_back(engine.Submit(
-        *g, serve::RequestOptions::WithDeadline(std::chrono::seconds(5))));
-  }
-  const double submit_elapsed = timer.ElapsedSeconds();
-  for (auto& f : futures) (void)f.get();
-  const double elapsed = timer.ElapsedSeconds();
-  engine.Drain();
-  FinishClusterRun(&run, engine.metrics(), submit_elapsed, elapsed);
-  return run;
-}
-
 ClusterRun RunCluster(const std::shared_ptr<serve::ServableModel>& servable,
                       const std::vector<const graph::Graph*>& requests,
                       size_t replicas) {
@@ -616,29 +582,26 @@ ClusterRun RunCluster(const std::shared_ptr<serve::ServableModel>& servable,
   return run;
 }
 
-/// Byte-compares per-class probabilities of an uncontended engine against a
-/// 4-replica cluster over distinct dataset graphs (caches off on both).
-bool ClusterLogitsMatchEngine(
+/// Byte-compares per-class probabilities of an uncontended one-replica
+/// cluster against a 4-replica cluster over distinct dataset graphs (caches
+/// off on both).
+bool ClusterLogitsMatchSingleReplica(
     const std::shared_ptr<serve::ServableModel>& servable,
     const graph::GraphDataset& dataset) {
-  serve::InferenceEngine::Options engine_options;
-  engine_options.cache_capacity = 0;
-  engine_options.batcher.queue_capacity =
-      static_cast<size_t>(dataset.size()) + 16;
-  serve::InferenceEngine engine(servable, engine_options);
-
-  serve::ServeCluster::Options cluster_options;
-  cluster_options.num_replicas = 4;
-  cluster_options.replica.num_threads = 1;
-  cluster_options.cache_capacity = 0;
-  serve::ServeCluster cluster(servable, cluster_options);
+  serve::ServeCluster::Options options;
+  options.replica.num_threads = 1;
+  options.cache_capacity = 0;
+  options.num_replicas = 1;
+  serve::ServeCluster single(servable, options);
+  options.num_replicas = 4;
+  serve::ServeCluster cluster(servable, options);
 
   const int n = std::min(dataset.size(), 32);
   for (int i = 0; i < n; ++i) {
-    auto from_engine = engine.Submit(dataset.graph(i)).get();
+    auto from_single = single.Submit(dataset.graph(i)).get();
     auto from_cluster = cluster.Submit(dataset.graph(i)).get();
-    if (!from_engine.ok() || !from_cluster.ok()) return false;
-    const auto& pe = from_engine.value().probabilities;
+    if (!from_single.ok() || !from_cluster.ok()) return false;
+    const auto& pe = from_single.value().probabilities;
     const auto& pc = from_cluster.value().probabilities;
     if (pe.size() != pc.size()) return false;
     if (!pe.empty() &&
@@ -653,15 +616,15 @@ int RunClusterBench(const BenchArgs& args,
                     const std::shared_ptr<serve::ServableModel>& servable,
                     const graph::GraphDataset& dataset,
                     const std::vector<const graph::Graph*>& requests) {
-  const bool logits_match = ClusterLogitsMatchEngine(servable, dataset);
+  const bool logits_match = ClusterLogitsMatchSingleReplica(servable, dataset);
   if (!logits_match) {
     std::fprintf(stderr,
-                 "cluster predictions diverge from the single engine\n");
+                 "4-replica predictions diverge from the one-replica "
+                 "cluster's\n");
     return 1;
   }
 
   std::vector<ClusterRun> runs;
-  runs.push_back(RunOverloadedEngine(servable, requests));
   for (size_t replicas : {size_t{1}, size_t{2}, size_t{4}}) {
     runs.push_back(RunCluster(servable, requests, replicas));
   }
@@ -675,13 +638,13 @@ int RunClusterBench(const BenchArgs& args,
                   Fmt(r.shed_rate, "%.4f"), Fmt(r.offered_qps),
                   Fmt(r.sustained_qps), Fmt(r.p99_us)});
   }
-  std::printf("cluster overload burst: %zu requests, logits bit-identical "
-              "to the single engine\n\n",
+  std::printf("cluster overload burst: %zu requests, 4-replica logits "
+              "bit-identical to the one-replica cluster's\n\n",
               requests.size());
   table.Print(std::cout);
 
-  // Acceptance gates: at 4 replicas the burst that saturates one engine is
-  // absorbed — shed rate under 2% with p99 inside the 5 s deadline budget.
+  // Acceptance gates: at 4 replicas the burst is absorbed — shed rate under
+  // 2% with p99 inside the 5 s deadline budget.
   const ClusterRun& four = runs.back();
   if (four.shed_rate >= 0.02) {
     std::fprintf(stderr, "gate failed: 4-replica shed rate %.4f >= 0.02\n",
@@ -704,7 +667,6 @@ int RunClusterBench(const BenchArgs& args,
       .Set("max_batch", kClusterMaxBatch)
       .Set("replica_queue_capacity", kClusterQueueCapacity)
       .Set("replica_threads", kClusterReplicaThreads);
-  doc.Obj("seeds").Set("admission", int64_t{kAdmissionSeed});
   doc.Set("logits_bit_identical", true);
   JsonValue& out_runs = doc.Arr("runs");
   for (const ClusterRun& r : runs) {
@@ -798,15 +760,15 @@ int main(int argc, char** argv) {
 
   std::string batch32_report;
   for (int batch : {1, 8, 32, 128}) {
-    EngineRun run = RunEngine(servable, requests, batch, /*cache_capacity=*/0);
+    SweepRun run = RunSweep(servable, requests, batch, /*cache_capacity=*/0);
     if (batch == 32) batch32_report = run.latency_report;
-    table.AddRow({"engine, batch=" + std::to_string(batch),
+    table.AddRow({"cluster x 1, batch=" + std::to_string(batch),
                   Fmt(run.graphs_per_sec),
                   Fmt(run.graphs_per_sec / baseline, "%.1fx")});
   }
 
-  EngineRun warm = RunEngine(servable, requests, 32, /*cache_capacity=*/4096);
-  table.AddRow({"engine, batch=32, warm cache", Fmt(warm.graphs_per_sec),
+  SweepRun warm = RunSweep(servable, requests, 32, /*cache_capacity=*/4096);
+  table.AddRow({"cluster x 1, batch=32, warm cache", Fmt(warm.graphs_per_sec),
                 Fmt(warm.graphs_per_sec / baseline, "%.1fx")});
   table.Print(std::cout);
 

@@ -1,13 +1,13 @@
-// Example: deploy a trained DEEPMAP model behind the inference engine.
+// Example: deploy a trained DEEPMAP model behind a one-replica ServeCluster.
 //
 //   $ ./build/examples/serve_molecules [num_requests]
 //
 // Trains DEEPMAP-WL on a synthetic molecule dataset, persists the
 // parameters, reloads them through the ModelRegistry (architecture and
 // preprocessing state are validated against the reference dataset), and
-// serves a request stream through the batched engine: requests coalesce
-// into micro-batches, repeated molecules hit the exact-key prediction cache,
-// and per-stage latency metrics are printed at the end.
+// serves a request stream through the cluster: queued requests are batched
+// continuously, repeated molecules hit the exact-key prediction cache, and
+// per-stage latency metrics are printed at the end.
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -19,7 +19,7 @@
 #include "core/deepmap.h"
 #include "datasets/registry.h"
 #include "nn/serialization.h"
-#include "serve/engine.h"
+#include "serve/cluster.h"
 
 using namespace deepmap;
 
@@ -79,13 +79,13 @@ int main(int argc, char** argv) {
   // 3. Serve a molecule screening stream. Screening workloads resubmit the
   // same compounds, so the stream cycles over the dataset and most requests
   // after the first pass are cache hits.
-  serve::InferenceEngine::Options engine_options;
-  engine_options.batcher.max_batch = 32;
-  engine_options.batcher.max_wait_us = 2000;
-  engine_options.batcher.queue_capacity =
+  serve::ServeCluster::Options cluster_options;
+  cluster_options.num_replicas = 1;
+  cluster_options.replica.max_batch = 32;
+  cluster_options.replica.queue_capacity =
       static_cast<size_t>(num_requests) + 16;
-  engine_options.cache_capacity = 4096;
-  serve::InferenceEngine engine(registry.Get("molecules"), engine_options);
+  cluster_options.cache_capacity = 4096;
+  serve::ServeCluster cluster(registry.Get("molecules"), cluster_options);
 
   Stopwatch timer;
   std::vector<std::future<StatusOr<serve::Prediction>>> futures;
@@ -93,13 +93,13 @@ int main(int argc, char** argv) {
   const int first_pass = std::min(static_cast<int>(dataset.size()),
                                   num_requests);
   for (int i = 0; i < first_pass; ++i) {
-    futures.push_back(engine.Submit(dataset.graph(i % dataset.size())));
+    futures.push_back(cluster.Submit(dataset.graph(i % dataset.size())));
   }
   // Let the first pass finish so its predictions are cached; without this
   // the submitter outruns the servers and resubmissions miss the cache.
-  engine.Drain();
+  cluster.Drain();
   for (int i = first_pass; i < num_requests; ++i) {
-    futures.push_back(engine.Submit(dataset.graph(i % dataset.size())));
+    futures.push_back(cluster.Submit(dataset.graph(i % dataset.size())));
   }
   std::vector<int64_t> class_counts(
       static_cast<size_t>(dataset.NumClasses()), 0);
@@ -121,7 +121,7 @@ int main(int argc, char** argv) {
                 static_cast<long long>(class_counts[c]));
   }
   std::printf("\n");
-  engine.metrics().Print(std::cout);
+  cluster.metrics().Print(std::cout);
 
   std::filesystem::remove(path);
   return errors == 0 ? 0 : 1;

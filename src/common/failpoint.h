@@ -15,7 +15,7 @@
 //
 // A spec may also carry an on_trigger callback, run outside the registry
 // lock each time the point fires; tests use this as a deterministic sync
-// point (e.g. park the batcher dispatcher on a gate instead of sleeping).
+// point (e.g. park a serving replica on a gate instead of sleeping).
 //
 // Call sites consult points through the macros below and surface injected
 // failures as Status::Unavailable ("injected fault at <name>"), so every

@@ -29,7 +29,7 @@ class Tensor {
 
   /// Tensor copy constructions/assignments process-wide since the last
   /// ResetCopyCount(). Lets tests assert a code path performs no hidden
-  /// deep copies (e.g. the serving batcher).
+  /// deep copies (e.g. the serving path from submit to reply).
   static long CopyCount();
   static void ResetCopyCount();
 

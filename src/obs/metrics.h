@@ -154,8 +154,8 @@ Status ValidateMetricName(const std::string& name, const std::string& kind);
 ///
 /// Default() is the process-wide registry used by library-internal
 /// instrumentation (thread pool, GEMM, fail points, training). Subsystems
-/// that need isolated counts — e.g. each InferenceEngine — construct their
-/// own instance instead.
+/// that need isolated counts — e.g. each ServeCluster — construct their own
+/// instance instead.
 class MetricsRegistry {
  public:
   MetricsRegistry() = default;

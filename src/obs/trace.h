@@ -112,7 +112,7 @@ class Tracer {
 };
 
 /// Spans a scope on the global tracer:
-///   DEEPMAP_TRACE_SPAN("serve.batch", "serve");
+///   DEEPMAP_TRACE_SPAN("serve.complete", "serve");
 /// The two-level concat is required so __LINE__ expands before pasting;
 /// direct ##__LINE__ would name every span variable identically and break
 /// scopes containing two spans.

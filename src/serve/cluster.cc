@@ -56,21 +56,21 @@ ServeCluster::ServeCluster(std::shared_ptr<ServableModel> model,
   DEEPMAP_LOG(Info) << "ServeCluster serving model '" << initial->name()
                     << "' v" << initial->version() << " on "
                     << options_.num_replicas << " replica(s)";
-  BatchPipeline::Hooks hooks;
-  hooks.on_complete = [this](const ServeRequest& r) { OnRequestComplete(r); };
+  const RequestCompleteFn on_complete = [this](const ServeRequest& r) {
+    OnRequestComplete(r);
+  };
   replicas_.reserve(options_.num_replicas);
   for (size_t i = 0; i < options_.num_replicas; ++i) {
     replicas_.push_back(std::make_unique<EngineReplica>(
         i, options_.replica, &servable_, &cache_, &metrics_,
-        &cluster_metrics_, &dispatch_, hooks));
+        &cluster_metrics_, &dispatch_, on_complete));
   }
   // Two-phase start: every replica must exist before any worker runs, since
   // idle workers scan the sibling array for steal victims.
   for (auto& replica : replicas_) replica->Start(&replicas_);
   supervisor_ = std::make_unique<Supervisor>(
       options_.supervision, &replicas_, &dispatch_, &servable_, &metrics_,
-      &health_metrics_,
-      [this](const ServeRequest& r) { OnRequestComplete(r); });
+      &health_metrics_, on_complete);
   supervisor_->Start();
 }
 

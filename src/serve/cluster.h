@@ -1,4 +1,5 @@
-// ServeCluster: multi-replica serving over one hot-swappable ServableModel.
+// ServeCluster: the serving front end — N replicas (1 is a valid cluster)
+// over one hot-swappable ServableModel.
 //
 //   Submit(graph, options)
 //     -> deadline check (expired requests rejected at admission)
@@ -16,9 +17,10 @@
 //        in-flight batch), and steals from the longest healthy sibling queue
 //        when its own is empty.
 //
-// All replicas share one ServableHandle, so at any instant cluster
-// predictions are bit-identical to a single InferenceEngine's on the same
-// servable — which replica served a request is unobservable in its logits.
+// All replicas share one ServableHandle, so at any instant a prediction is
+// the servable's answer for that graph, bit-identical to the offline
+// DeepMapModel::Forward — which replica served a request, and how many
+// replicas there are, is unobservable in its logits.
 // UpdateModel() swaps the handle atomically: batches already in flight
 // finish on the version they pinned at Begin, later batches pick up the new
 // one, and the shared cache is cleared so no stale-version prediction is
@@ -34,21 +36,22 @@
 // pills, and restarts failed workers with exponential backoff — see
 // serve/supervisor.h and docs/robustness.md.
 //
-// There is no per-cluster MicroBatcher and no max_wait_us: batching emerges
-// from queue pressure. An idle replica starts on a single request
-// immediately; under load, batches fill to max_batch. Shutdown drains —
-// every accepted request's future is resolved before the destructor returns.
+// There is no batching window: batching emerges from queue pressure. An
+// idle replica starts on a single request immediately; under load, batches
+// fill to max_batch. Shutdown drains — every accepted request's future is
+// resolved before the destructor returns.
 #ifndef DEEPMAP_SERVE_CLUSTER_H_
 #define DEEPMAP_SERVE_CLUSTER_H_
 
 #include <chrono>
 #include <future>
 #include <memory>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
-#include "serve/engine.h"
+#include "serve/dynamic_graphs.h"
 #include "serve/metrics.h"
 #include "serve/model_registry.h"
 #include "serve/prediction_cache.h"
@@ -56,6 +59,24 @@
 #include "serve/supervisor.h"
 
 namespace deepmap::serve {
+
+/// Per-request submission options.
+struct RequestOptions {
+  /// Absolute deadline on the steady clock; unset = no deadline. Expired
+  /// requests fail with DeadlineExceeded naming the stage that noticed
+  /// ("admission", "preprocess", or "forward").
+  std::optional<std::chrono::steady_clock::time_point> deadline;
+
+  /// Fair-share admission bucket (Options::fair_share_watermark); "" is the
+  /// default tenant.
+  std::string tenant;
+
+  static RequestOptions WithDeadline(std::chrono::microseconds relative) {
+    RequestOptions o;
+    o.deadline = std::chrono::steady_clock::now() + relative;
+    return o;
+  }
+};
 
 /// N EngineReplicas behind one dispatcher, one cache, one metrics surface,
 /// one supervisor.
@@ -104,13 +125,15 @@ class ServeCluster {
     return Submit(g, RequestOptions{});
   }
 
-  /// Dynamic-graph serving, mirroring InferenceEngine: register a
-  /// long-lived graph, then classify edge deltas against it. ClassifyDelta
-  /// applies the delta with an O(1) per-edge key update and looks the new
-  /// key up; the pre-delta structure's entry is kept (exact keys make it
-  /// still correct, so a delta that undoes this one hits it). On a miss the
-  /// mutated graph runs through the normal dispatch path — logits are
-  /// bit-identical to a fresh Submit of that graph.
+  /// Dynamic-graph serving: register a long-lived graph, then classify edge
+  /// deltas against it. ClassifyDelta applies the delta with an O(1)
+  /// per-edge key update and looks the new key up; the pre-delta
+  /// structure's entry is kept (exact keys make it still correct, so a
+  /// delta that undoes this one hits it). On a miss the mutated graph runs
+  /// through the normal dispatch path — logits are bit-identical to a fresh
+  /// Submit of that graph. The delta persists (atomically: an invalid one
+  /// leaves the graph untouched) even when classification itself fails —
+  /// the delta describes the world, not the request.
   Status RegisterDynamicGraph(const std::string& id, graph::Graph g);
   Status UnregisterDynamicGraph(const std::string& id);
   StatusOr<Prediction> ClassifyDelta(
@@ -180,7 +203,8 @@ class ServeCluster {
   /// dispatch_.mu held.
   bool ShouldShedTenantLocked(const std::string& tenant) const;
 
-  /// BatchPipeline::Hooks::on_complete: releases the request's tenant slot.
+  /// The pipeline's and supervisor's on_complete: releases the request's
+  /// tenant slot.
   void OnRequestComplete(const ServeRequest& request);
 
   ServableHandle servable_;

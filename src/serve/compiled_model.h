@@ -42,7 +42,7 @@
 namespace deepmap::serve {
 
 /// Provenance of a served answer. Anything other than kModel means the
-/// engine degraded gracefully instead of surfacing a model-path failure.
+/// server degraded gracefully instead of surfacing a model-path failure.
 enum class PredictionSource : uint8_t {
   kModel = 0,       // full forward pass (possibly replayed from the cache)
   kStaleCache = 1,  // degraded: cached answer served while the model failed

@@ -1,5 +1,5 @@
 // DynamicGraphStore: registered long-lived graphs that serving mutates in
-// place via edge deltas (ClassifyDelta on InferenceEngine / ServeCluster).
+// place via edge deltas (ServeCluster::ClassifyDelta).
 //
 // Each registered graph is a graph::DynamicGraph, so applying a delta moves
 // the graph's content digest by one edge leaf per update instead of

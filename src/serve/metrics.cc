@@ -82,8 +82,6 @@ ServeMetrics::ServeMetrics(obs::MetricsRegistry* registry)
   degraded_fallback_ =
       &r.GetCounter("deepmap_serve_degraded_fallback_total",
                     "degraded answers served by the majority-class fallback");
-  retries_ = &r.GetCounter("deepmap_serve_retries_total",
-                           "backoff-and-resubmit cycles inside Classify");
   dynamic_updates_ =
       &r.GetCounter("deepmap_serve_dynamic_updates_total",
                     "edge updates applied to registered dynamic graphs");
@@ -95,7 +93,7 @@ ServeMetrics::ServeMetrics(obs::MetricsRegistry* registry)
       "deepmap_serve_dynamic_full_recomputes_total",
       "ClassifyDelta calls that ran the full pipeline on the mutated graph");
   batches_ = &r.GetCounter("deepmap_serve_batches_total",
-                           "batches dispatched by the micro-batcher");
+                           "batches run by the replicas");
   batch_items_ = &r.GetCounter("deepmap_serve_batch_items_total",
                                "requests carried by dispatched batches");
   queue_depth_samples_ =
@@ -104,7 +102,7 @@ ServeMetrics::ServeMetrics(obs::MetricsRegistry* registry)
   queue_depth_sum_ = &r.GetGauge("deepmap_serve_queue_depth_sum",
                                  "running sum of observed queue depths");
   max_queue_depth_ = &r.GetGauge("deepmap_serve_queue_depth_max",
-                                 "high-water mark of the batcher queue");
+                                 "high-water mark of the replica queue left at dispatch");
   wl_colors_ = &r.GetGauge("deepmap_serve_wl_colors",
                            "WL color dictionary entries, all iterations");
   queue_.histogram = &r.GetHistogram(
@@ -209,8 +207,6 @@ void ServeMetrics::RecordDegradedFallback() {
   outcomes_[static_cast<int>(ServeOutcome::kDegraded)]->Increment();
 }
 
-void ServeMetrics::RecordRetry() { retries_->Increment(); }
-
 void ServeMetrics::RecordDynamicUpdate(int64_t edges) {
   dynamic_updates_->Increment(edges);
 }
@@ -295,8 +291,6 @@ int64_t ServeMetrics::degraded_fallback() const {
   return degraded_fallback_->Value();
 }
 
-int64_t ServeMetrics::retries() const { return retries_->Value(); }
-
 int64_t ServeMetrics::dynamic_updates() const {
   return dynamic_updates_->Value();
 }
@@ -358,7 +352,6 @@ Table ServeMetrics::SummaryTable() const {
   table.AddRow({"deadline_exceeded", std::to_string(deadline_exceeded())});
   table.AddRow({"degraded_stale", std::to_string(degraded_stale())});
   table.AddRow({"degraded_fallback", std::to_string(degraded_fallback())});
-  table.AddRow({"retries", std::to_string(retries())});
   table.AddRow({"cache_hits", std::to_string(cache_hits())});
   table.AddRow({"cache_misses", std::to_string(cache_misses())});
   char rate[32];

@@ -2,7 +2,7 @@
 // depth, cache hit rate, and request outcomes.
 //
 // ServeMetrics sits on top of an obs::MetricsRegistry: every scalar count
-// (requests, outcomes, cache, batches, retries) is a registry counter and
+// (requests, outcomes, cache, batches) is a registry counter and
 // every stage latency feeds a registry histogram, so the whole surface is
 // lock-free on the record path and exportable as one Prometheus scrape
 // (registry()). The only mutex-guarded state left is the retained raw-sample
@@ -11,9 +11,9 @@
 // within a few percent); the sample store answers them exactly, and tests
 // pin the two against each other.
 //
-// By default each ServeMetrics owns a private registry, so engines in the
+// By default each ServeMetrics owns a private registry, so clusters in the
 // same process (e.g. test fixtures) never share counters; pass an external
-// registry to aggregate several engines into one scrape.
+// registry to aggregate several clusters into one scrape.
 #ifndef DEEPMAP_SERVE_METRICS_H_
 #define DEEPMAP_SERVE_METRICS_H_
 
@@ -70,7 +70,8 @@ struct RequestTiming {
   bool cache_hit = false;
 };
 
-/// Thread-safe metrics sink for the inference engine.
+/// Thread-safe request-level metrics sink of one ServeCluster (all of its
+/// replicas record into it).
 class ServeMetrics {
  public:
   /// Retained samples per stage; later samples beyond the cap only update
@@ -96,8 +97,6 @@ class ServeMetrics {
   /// Degraded answers; both also count the kDegraded outcome.
   void RecordDegradedStale();
   void RecordDegradedFallback();
-  /// One backoff-and-resubmit cycle inside Classify.
-  void RecordRetry();
 
   /// Dynamic-graph serving (ClassifyDelta). `edges` edge updates applied
   /// incrementally to a registered graph.
@@ -134,7 +133,6 @@ class ServeMetrics {
   int64_t degraded() const;  // stale + fallback
   int64_t degraded_stale() const;
   int64_t degraded_fallback() const;
-  int64_t retries() const;
 
   int64_t dynamic_updates() const;  // edge updates, not ClassifyDelta calls
   int64_t dynamic_incremental_hits() const;
@@ -199,7 +197,6 @@ class ServeMetrics {
   obs::Counter* outcomes_[kNumServeOutcomes];
   obs::Counter* degraded_stale_;
   obs::Counter* degraded_fallback_;
-  obs::Counter* retries_;
   obs::Counter* dynamic_updates_;
   obs::Counter* dynamic_incremental_hits_;
   obs::Counter* dynamic_full_recomputes_;
@@ -224,7 +221,7 @@ class ServeMetrics {
 /// replica); all updates are lock-free counter increments, so replicas
 /// record without coordinating. Request-level stats (latency, outcomes,
 /// cache) stay in the shared ServeMetrics — this class covers only what is
-/// meaningless for a single engine.
+/// meaningless for a single replica.
 class ClusterMetrics {
  public:
   /// `registry` must outlive this object. Registers the aggregate counters

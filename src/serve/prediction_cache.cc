@@ -78,7 +78,7 @@ std::optional<Prediction> PredictionCache::Lookup(const std::string& key) {
 void PredictionCache::Insert(const std::string& key, Prediction prediction) {
   if (capacity_ == 0) return;
   // Simulated cache outage on the write path: the warm-up is lost, which a
-  // correct engine must tolerate (the next request just misses again).
+  // correct server must tolerate (the next request just misses again).
   if (DEEPMAP_FAILPOINT_TRIGGERED("serve.cache.insert")) return;
   Shard& shard = *shards_[ShardIndexFor(key)];
   std::lock_guard<std::mutex> lock(shard.mu);

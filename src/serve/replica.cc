@@ -37,13 +37,14 @@ bool Degradable(StatusCode code) {
 
 BatchPipeline::BatchPipeline(ServableHandle* servable, ThreadPool* pool,
                              PredictionCache* cache, ServeMetrics* metrics,
-                             bool enable_degraded, Hooks hooks)
+                             bool enable_degraded,
+                             RequestCompleteFn on_complete)
     : servable_(servable),
       pool_(pool),
       cache_(cache),
       metrics_(metrics),
       enable_degraded_(enable_degraded),
-      hooks_(std::move(hooks)) {
+      on_complete_(std::move(on_complete)) {
   DEEPMAP_CHECK(servable_ != nullptr);
   DEEPMAP_CHECK(pool_ != nullptr);
   DEEPMAP_CHECK(metrics_ != nullptr);
@@ -189,14 +190,13 @@ void BatchPipeline::Complete(State* state) {
     timing.total_us =
         MicrosSince(request.enqueue_time, std::chrono::steady_clock::now());
     metrics_->RecordRequest(timing);
-    if (hooks_.on_latency_sample) hooks_.on_latency_sample(timing.total_us);
     if (state->statuses[i].ok()) {
       if (cache_ != nullptr && !request.cache_key.empty()) {
         cache_->Insert(request.cache_key, state->predictions[i]);
       }
       metrics_->RecordOutcome(ServeOutcome::kOk);
       request.promise.set_value(std::move(state->predictions[i]));
-      if (hooks_.on_complete) hooks_.on_complete(request);
+      if (on_complete_) on_complete_(request);
       continue;
     }
     const StatusCode code = state->statuses[i].code();
@@ -205,7 +205,7 @@ void BatchPipeline::Complete(State* state) {
                                            ? state->deadline_stage[i]
                                            : "unknown");
       request.promise.set_value(StatusOr<Prediction>(state->statuses[i]));
-      if (hooks_.on_complete) hooks_.on_complete(request);
+      if (on_complete_) on_complete_(request);
       continue;
     }
     if (enable_degraded_ && Degradable(code)) {
@@ -226,23 +226,13 @@ void BatchPipeline::Complete(State* state) {
         metrics_->RecordDegradedFallback();
         request.promise.set_value(state->model->fallback_prediction());
       }
-      if (hooks_.on_complete) hooks_.on_complete(request);
+      if (on_complete_) on_complete_(request);
       continue;
     }
     metrics_->RecordOutcome(ServeOutcome::kError);
     request.promise.set_value(StatusOr<Prediction>(state->statuses[i]));
-    if (hooks_.on_complete) hooks_.on_complete(request);
+    if (on_complete_) on_complete_(request);
   }
-}
-
-void BatchPipeline::Execute(std::vector<ServeRequest>&& batch,
-                            size_t queue_depth_after) {
-  DEEPMAP_TRACE_SPAN("serve.batch", "serve");
-  State state;
-  Begin(&state, std::move(batch), queue_depth_after);
-  Preprocess(&state);
-  Forward(&state);
-  Complete(&state);
 }
 
 // ---------------------------------------------------------------------------
@@ -253,7 +243,7 @@ EngineReplica::EngineReplica(size_t index, const Options& options,
                              ServeMetrics* metrics,
                              ClusterMetrics* cluster_metrics,
                              DispatchState* dispatch,
-                             BatchPipeline::Hooks hooks)
+                             RequestCompleteFn on_complete)
     : index_(index),
       options_(options),
       servable_(servable),
@@ -263,7 +253,7 @@ EngineReplica::EngineReplica(size_t index, const Options& options,
       span_name_("serve.replica" + std::to_string(index) + ".batch"),
       pool_(std::max<size_t>(options.num_threads, 1)),
       pipeline_(servable, &pool_, cache, metrics, options.enable_degraded,
-                std::move(hooks)) {
+                std::move(on_complete)) {
   DEEPMAP_CHECK_GT(options_.max_batch, 0);
   DEEPMAP_CHECK_GT(options_.queue_capacity, size_t{0});
   DEEPMAP_CHECK(dispatch_ != nullptr);

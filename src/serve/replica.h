@@ -1,9 +1,8 @@
-// The replica layer of the serving stack: the staged batch pipeline shared
-// by every consumer of ServeRequest batches, and the worker replica that
-// runs it behind a bounded per-replica queue.
+// The replica layer of the serving stack: the staged batch pipeline and the
+// worker replica that runs it behind a bounded per-replica queue.
 //
-// BatchPipeline is InferenceEngine's former HandleBatch split into explicit
-// stages so a caller can interleave work between them:
+// BatchPipeline runs one batch in explicit stages so the replica can
+// interleave work between them:
 //
 //   Begin       pin the current servable (hot reload swaps between batches,
 //               never inside one), snapshot dispatch time, record queue
@@ -17,12 +16,10 @@
 //   Complete    fulfill every promise exactly once (degrading model-path
 //               failures when enabled), warm the cache, record metrics
 //
-// Execute() chains Begin/Preprocess/Forward/Complete — the single-engine
-// path, byte-for-byte the pre-refactor behavior. EngineReplica interposes
-// an Admit between Preprocess and Forward, which is what turns fixed
-// batching windows into continuous batching: a replica never waits out a
-// max_wait_us timer; it starts on whatever is queued and absorbs arrivals
-// into the batch it is already running.
+// EngineReplica interposes an Admit between Preprocess and Forward, which is
+// continuous batching: a replica never waits out a batching window; it
+// starts on whatever is queued and absorbs arrivals into the batch it is
+// already running.
 //
 // EngineReplica owns a bounded deque (its slice of the cluster's admission
 // capacity), a private ThreadPool (ThreadPool::Wait is a whole-pool
@@ -54,6 +51,7 @@
 #include <condition_variable>
 #include <deque>
 #include <functional>
+#include <future>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -61,12 +59,37 @@
 #include <vector>
 
 #include "common/parallel.h"
+#include "common/status.h"
+#include "graph/graph.h"
+#include "serve/compiled_model.h"
 #include "serve/metrics.h"
-#include "serve/micro_batcher.h"
 #include "serve/model_registry.h"
 #include "serve/prediction_cache.h"
 
 namespace deepmap::serve {
+
+/// One queued classification request.
+struct ServeRequest {
+  graph::Graph graph;
+  std::string cache_key;  // empty when caching is disabled
+  /// Fair-share accounting bucket (ServeCluster); "" = the default tenant.
+  std::string tenant;
+  std::promise<StatusOr<Prediction>> promise;
+  std::chrono::steady_clock::time_point enqueue_time;
+  /// Absolute deadline; max() means none. Checked at admission, before
+  /// preprocessing, and before the forward pass.
+  std::chrono::steady_clock::time_point deadline =
+      std::chrono::steady_clock::time_point::max();
+  /// Times this request was recovered from a failed (hung/crashed) replica.
+  /// The cluster Supervisor increments it on every re-dispatch; past
+  /// Supervisor::Options::max_request_failures the request is quarantined
+  /// with a degraded answer instead of being handed to another replica.
+  int failures = 0;
+};
+
+/// Called per request after its promise is resolved; feeds the cluster's
+/// per-tenant in-flight accounting. May be empty.
+using RequestCompleteFn = std::function<void(const ServeRequest& request)>;
 
 /// Staged execution of one batch of requests against the current servable
 /// of a ServableHandle. Thread-compatible: one State is owned by one
@@ -74,20 +97,11 @@ namespace deepmap::serve {
 /// any number of sequential batches.
 class BatchPipeline {
  public:
-  struct Hooks {
-    /// Per request, with its submit->resolved latency in microseconds; feeds
-    /// the engine's admission-controller p95 window.
-    std::function<void(double total_us)> on_latency_sample;
-    /// Per request, after its promise is resolved; feeds the cluster's
-    /// per-tenant in-flight accounting.
-    std::function<void(const ServeRequest& request)> on_complete;
-  };
-
   /// All pointers must outlive the pipeline. `cache` may be null (caching
   /// disabled); `pool` is the preprocessing/forward sharding pool.
   BatchPipeline(ServableHandle* servable, ThreadPool* pool,
                 PredictionCache* cache, ServeMetrics* metrics,
-                bool enable_degraded, Hooks hooks = {});
+                bool enable_degraded, RequestCompleteFn on_complete);
 
   /// Per-batch working set. `batch[0, preprocessed)` has been through
   /// Preprocess; parallel arrays are indexed like `batch`.
@@ -117,17 +131,13 @@ class BatchPipeline {
   void Forward(State* state);
   void Complete(State* state);
 
-  /// Begin + Preprocess + Forward + Complete under the "serve.batch" span —
-  /// the single-engine dispatch path.
-  void Execute(std::vector<ServeRequest>&& batch, size_t queue_depth_after);
-
  private:
   ServableHandle* servable_;
   ThreadPool* pool_;
   PredictionCache* cache_;  // null = caching disabled
   ServeMetrics* metrics_;
   bool enable_degraded_;
-  Hooks hooks_;
+  RequestCompleteFn on_complete_;
 };
 
 /// Dispatchability of one replica. Anything but kHealthy is skipped by
@@ -186,7 +196,7 @@ class EngineReplica {
   EngineReplica(size_t index, const Options& options, ServableHandle* servable,
                 PredictionCache* cache, ServeMetrics* metrics,
                 ClusterMetrics* cluster_metrics, DispatchState* dispatch,
-                BatchPipeline::Hooks hooks);
+                RequestCompleteFn on_complete);
   ~EngineReplica();
 
   EngineReplica(const EngineReplica&) = delete;

@@ -15,7 +15,7 @@ Supervisor::Supervisor(
     const std::vector<std::unique_ptr<EngineReplica>>* replicas,
     DispatchState* dispatch, ServableHandle* servable, ServeMetrics* metrics,
     HealthMetrics* health,
-    std::function<void(const ServeRequest&)> on_complete)
+    RequestCompleteFn on_complete)
     : options_(options),
       replicas_(replicas),
       dispatch_(dispatch),
@@ -190,9 +190,13 @@ void Supervisor::Redispatch(std::vector<ServeRequest>&& recovered,
         rejected.push_back(std::move(request));
       }
     }
-    if (redispatched > 0) dispatch_->work_cv.notify_all();
+    if (redispatched > 0) {
+      // Counted before any worker can answer one of them: a caller whose
+      // future resolves must already see the re-dispatch.
+      health_->RecordRedispatched(redispatched);
+      dispatch_->work_cv.notify_all();
+    }
   }
-  if (redispatched > 0) health_->RecordRedispatched(redispatched);
 
   // Quarantines and rejections are resolved OUTSIDE the dispatch lock: the
   // completion hook re-enters it for per-tenant accounting.

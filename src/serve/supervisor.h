@@ -43,7 +43,6 @@
 #include <vector>
 
 #include "serve/metrics.h"
-#include "serve/micro_batcher.h"
 #include "serve/model_registry.h"
 #include "serve/replica.h"
 
@@ -81,7 +80,7 @@ class Supervisor {
              const std::vector<std::unique_ptr<EngineReplica>>* replicas,
              DispatchState* dispatch, ServableHandle* servable,
              ServeMetrics* metrics, HealthMetrics* health,
-             std::function<void(const ServeRequest&)> on_complete);
+             RequestCompleteFn on_complete);
   ~Supervisor();
 
   Supervisor(const Supervisor&) = delete;
@@ -126,7 +125,7 @@ class Supervisor {
   ServableHandle* servable_;
   ServeMetrics* metrics_;
   HealthMetrics* health_;
-  std::function<void(const ServeRequest&)> on_complete_;
+  RequestCompleteFn on_complete_;
 
   std::mutex scan_mu_;  // serializes ScanOnce vs the background thread
   std::vector<Watch> watches_;

@@ -1,14 +1,16 @@
-// Tests for ServeCluster: cluster-vs-single-engine prediction equivalence,
-// the N=1 degenerate case, deterministic work stealing under skewed load,
-// continuous batching, per-tenant fair-share admission, cluster outcome
-// accounting, and wakeup of an idle worker by every Submit. Races are
-// pinned with fail-point gates, never sleeps.
+// Tests for ServeCluster: served-vs-offline prediction equivalence at 4
+// replicas and in the N=1 degenerate case, deterministic work stealing
+// under skewed load, continuous batching and its max_batch cap, per-tenant
+// fair-share admission, cluster outcome accounting, and wakeup of an idle
+// worker by every Submit. Races are pinned with fail-point gates, never
+// sleeps.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <future>
+#include <map>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -18,13 +20,12 @@
 #include "core/deepmap.h"
 #include "datasets/registry.h"
 #include "nn/model.h"
+#include "offline_prediction.h"
 #include "serve/cluster.h"
-#include "serve/engine.h"
 
 namespace deepmap {
 namespace {
 
-using serve::InferenceEngine;
 using serve::Prediction;
 using serve::RequestOptions;
 using serve::ServeCluster;
@@ -130,38 +131,23 @@ ServeCluster::Options UncachedClusterOptions(size_t num_replicas) {
 TEST(ServeClusterTest, PredictionsBitIdenticalToSingleEngine) {
   TrainedBundle& b = Bundle();
 
-  // Caching off on both sides: WL-equivalent (not identical) graphs share a
-  // cache entry, and WHICH representative lands in the cache first depends
-  // on dispatch order — a documented cache approximation that would mask
-  // the compute-path equivalence this test pins.
-  InferenceEngine::Options engine_options;
-  engine_options.num_threads = 2;
-  engine_options.cache_capacity = 0;
-  InferenceEngine engine(b.servable, engine_options);
-
-  ServeCluster::Options cluster_options = UncachedClusterOptions(3);
-  ServeCluster cluster(b.servable, cluster_options);
+  // Caching off: every request runs the compute path this test pins. The
+  // reference is the training stack's forward pass for the same input.
+  ServeCluster cluster(b.servable, UncachedClusterOptions(4));
 
   const int n = b.dataset.size();
-  std::vector<std::future<StatusOr<Prediction>>> from_engine;
-  std::vector<std::future<StatusOr<Prediction>>> from_cluster;
+  std::vector<std::future<StatusOr<Prediction>>> futures;
   for (int i = 0; i < n; ++i) {
-    from_engine.push_back(engine.Submit(b.dataset.graph(i)));
-    from_cluster.push_back(cluster.Submit(b.dataset.graph(i)));
+    futures.push_back(cluster.Submit(b.dataset.graph(i)));
   }
   for (int i = 0; i < n; ++i) {
-    StatusOr<Prediction> e = MustResolve(from_engine[i]);
-    StatusOr<Prediction> c = MustResolve(from_cluster[i]);
-    ASSERT_TRUE(e.ok()) << e.status().ToString();
+    StatusOr<Prediction> c = MustResolve(futures[i]);
     ASSERT_TRUE(c.ok()) << c.status().ToString();
-    EXPECT_EQ(c.value().label, e.value().label) << "graph " << i;
-    ASSERT_EQ(c.value().probabilities.size(), e.value().probabilities.size());
-    for (size_t p = 0; p < e.value().probabilities.size(); ++p) {
-      // Replicas share one immutable CompiledModel: which replica served a
-      // request must be unobservable in its probabilities, bit for bit.
-      ASSERT_EQ(c.value().probabilities[p], e.value().probabilities[p])
-          << "graph " << i << " class " << p;
-    }
+    // Replicas share one immutable CompiledModel: which replica served a
+    // request must be unobservable in its probabilities, bit for bit.
+    SCOPED_TRACE(i);
+    ExpectSameBytes(c.value(),
+                    OfflinePrediction(*b.model, b.pipeline->inputs()[i]));
   }
   cluster.Drain();
   EXPECT_EQ(cluster.metrics().outcome_count(ServeOutcome::kOk), n);
@@ -171,27 +157,16 @@ TEST(ServeClusterTest, PredictionsBitIdenticalToSingleEngine) {
 
 TEST(ServeClusterTest, SingleReplicaDegenerateMatchesEngine) {
   TrainedBundle& b = Bundle();
-
-  InferenceEngine::Options engine_options;
-  engine_options.cache_capacity = 0;
-  InferenceEngine engine(b.servable, engine_options);
   ServeCluster cluster(b.servable, UncachedClusterOptions(1));
 
   const int n = std::min(b.dataset.size(), 12);
   for (int i = 0; i < n; ++i) {
-    std::future<StatusOr<Prediction>> e = engine.Submit(b.dataset.graph(i));
     std::future<StatusOr<Prediction>> c = cluster.Submit(b.dataset.graph(i));
-    StatusOr<Prediction> from_engine = MustResolve(e);
     StatusOr<Prediction> from_cluster = MustResolve(c);
-    ASSERT_TRUE(from_engine.ok());
     ASSERT_TRUE(from_cluster.ok());
-    EXPECT_EQ(from_cluster.value().label, from_engine.value().label);
-    ASSERT_EQ(from_cluster.value().probabilities.size(),
-              from_engine.value().probabilities.size());
-    for (size_t p = 0; p < from_engine.value().probabilities.size(); ++p) {
-      ASSERT_EQ(from_cluster.value().probabilities[p],
-                from_engine.value().probabilities[p]);
-    }
+    SCOPED_TRACE(i);
+    ExpectSameBytes(from_cluster.value(),
+                    OfflinePrediction(*b.model, b.pipeline->inputs()[i]));
   }
   cluster.Drain();
   EXPECT_EQ(cluster.metrics().outcome_count(ServeOutcome::kOk), n);
@@ -381,6 +356,34 @@ TEST(ServeClusterTest, ContinuousBatchingOffDispatchesSeparateBatches) {
   EXPECT_EQ(cluster.cluster_metrics().continuous_admits(), 0);
   // Bait ran alone; the five laggards came in at least one later batch.
   EXPECT_GE(cluster.metrics().num_batches(), 2);
+}
+
+TEST(ServeClusterTest, BatchesNeverExceedMaxBatch) {
+  TrainedBundle& b = Bundle();
+  FailPointGuard guard;
+  ServeCluster::Options options = UncachedClusterOptions(1);
+  options.replica.max_batch = 4;
+  ServeCluster cluster(b.servable, options);
+
+  DispatchGate gate;
+  FailPointSpec spec = FailPointSpec::Once();
+  spec.on_trigger = [&gate] { gate.Park(); };
+  FailPointRegistry::Instance().Enable("serve.cluster.batch", spec);
+
+  std::vector<std::future<StatusOr<Prediction>>> futures;
+  futures.push_back(cluster.Submit(b.dataset.graph(0)));
+  gate.AwaitParked();
+  for (int i = 1; i < 10; ++i) {
+    futures.push_back(cluster.Submit(b.dataset.graph(i)));
+  }
+  gate.Open();
+  for (auto& f : futures) ASSERT_TRUE(MustResolve(f).ok());
+  cluster.Drain();
+  // The parked batch tops up to the cap (1 popped + 3 admitted); the six
+  // left are popped 4 then 2.
+  const std::map<int, int64_t> expected = {{2, 1}, {4, 2}};
+  EXPECT_EQ(cluster.metrics().batch_size_histogram(), expected);
+  EXPECT_EQ(cluster.cluster_metrics().continuous_admits(), 3);
 }
 
 // ---------------------------------------------------------------------------

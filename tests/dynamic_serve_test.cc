@@ -4,12 +4,12 @@
 // account every delta in the deepmap_serve_dynamic_* counters; the store's
 // incrementally maintained key must always equal KeyFor of its snapshot.
 // A miss's recorded latency counts from ClassifyDelta's entry, like a hit's.
-// Covers both the single InferenceEngine and the ServeCluster front ends.
+// Answers are byte-compared against the offline DeepMapModel::Forward of the
+// mutated graph, through clusters of one and of four replicas.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
-#include <cstring>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -23,16 +23,15 @@
 #include "graph/graph.h"
 #include "nn/model.h"
 #include "obs/metrics.h"
+#include "offline_prediction.h"
 #include "serve/cluster.h"
 #include "serve/dynamic_graphs.h"
-#include "serve/engine.h"
 #include "serve/prediction_cache.h"
 
 namespace deepmap {
 namespace {
 
 using graph::EdgeUpdate;
-using serve::InferenceEngine;
 using serve::Prediction;
 using serve::ServeCluster;
 
@@ -78,21 +77,22 @@ TrainedBundle& Bundle() {
   return *bundle;
 }
 
-InferenceEngine::Options SmallEngineOptions(size_t cache_capacity = 64) {
-  InferenceEngine::Options o;
-  o.num_threads = 2;
+ServeCluster::Options SmallClusterOptions(size_t num_replicas = 1,
+                                          size_t cache_capacity = 64) {
+  ServeCluster::Options o;
+  o.num_replicas = num_replicas;
+  o.replica.num_threads = 2;
   o.cache_capacity = cache_capacity;
   return o;
 }
 
-/// Same label and byte-identical probabilities (EXPECT_EQ on the vector
-/// would let -0.0 match 0.0).
-void ExpectSameBytes(const Prediction& got, const Prediction& want) {
-  EXPECT_EQ(got.label, want.label);
-  ASSERT_EQ(got.probabilities.size(), want.probabilities.size());
-  EXPECT_EQ(std::memcmp(got.probabilities.data(), want.probabilities.data(),
-                        want.probabilities.size() * sizeof(float)),
-            0);
+/// The training stack's answer for `g`: DeepMapModel::Forward over the
+/// served preprocessor's dense input.
+Prediction Offline(const graph::Graph& g) {
+  TrainedBundle& b = Bundle();
+  StatusOr<nn::Tensor> input = b.servable->preprocessor().Preprocess(g);
+  DEEPMAP_CHECK(input.ok());
+  return OfflinePrediction(*b.model, input.value());
 }
 
 /// A base graph with an edge to play with: vertex labels drawn from the
@@ -104,126 +104,124 @@ graph::Graph BaseGraph() {
 
 TEST(DynamicServeTest, DeltaLogitsBitIdenticalToFreshClassify) {
   TrainedBundle& b = Bundle();
-  InferenceEngine engine(b.servable, SmallEngineOptions());
-  ASSERT_TRUE(engine.RegisterDynamicGraph("g", BaseGraph()).ok());
+  for (size_t replicas : {size_t{1}, size_t{4}}) {
+    SCOPED_TRACE(replicas);
+    ServeCluster cluster(b.servable, SmallClusterOptions(replicas));
+    ASSERT_TRUE(cluster.RegisterDynamicGraph("g", BaseGraph()).ok());
 
-  // A fresh engine (cold cache) classifies the mutated graph directly.
-  InferenceEngine oracle(b.servable, SmallEngineOptions(0));
+    std::vector<EdgeUpdate> deltas = {
+        EdgeUpdate::Insert(0, 2), EdgeUpdate::Insert(1, 4),
+        EdgeUpdate::Remove(1, 2), EdgeUpdate::Insert(0, 4),
+        EdgeUpdate::Remove(0, 2)};
+    graph::Graph shadow = BaseGraph();
+    for (const EdgeUpdate& u : deltas) {
+      auto via_delta = cluster.ClassifyDelta("g", {u});
+      ASSERT_TRUE(via_delta.ok()) << via_delta.status().ToString();
 
-  std::vector<EdgeUpdate> deltas = {
-      EdgeUpdate::Insert(0, 2), EdgeUpdate::Insert(1, 4),
-      EdgeUpdate::Remove(1, 2), EdgeUpdate::Insert(0, 4),
-      EdgeUpdate::Remove(0, 2)};
-  graph::Graph shadow = BaseGraph();
-  for (const EdgeUpdate& u : deltas) {
-    auto via_delta = engine.ClassifyDelta("g", {u});
-    ASSERT_TRUE(via_delta.ok()) << via_delta.status().ToString();
-
-    if (u.insert) {
-      ASSERT_TRUE(shadow.AddEdge(u.u, u.v));
-    } else {
-      ASSERT_TRUE(shadow.RemoveEdge(u.u, u.v));
+      if (u.insert) {
+        ASSERT_TRUE(shadow.AddEdge(u.u, u.v));
+      } else {
+        ASSERT_TRUE(shadow.RemoveEdge(u.u, u.v));
+      }
+      // Bit-identical probabilities: the miss path runs the served
+      // pipeline, and hits replay a prediction that itself came from it.
+      ExpectSameBytes(via_delta.value(), Offline(shadow));
     }
-    auto fresh = oracle.Classify(shadow);
-    ASSERT_TRUE(fresh.ok());
-    EXPECT_EQ(via_delta.value().label, fresh.value().label);
-    // Bit-identical probabilities: the miss path runs the identical
-    // pipeline, and hits replay a prediction that itself came from it.
-    EXPECT_EQ(via_delta.value().probabilities, fresh.value().probabilities);
+    EXPECT_EQ(cluster.metrics().dynamic_updates(), 5);
   }
-  EXPECT_EQ(engine.metrics().dynamic_updates(), 5);
 }
 
 TEST(DynamicServeTest, ExactInvalidationPreservesUnrelatedEntries) {
   TrainedBundle& b = Bundle();
-  InferenceEngine engine(b.servable, SmallEngineOptions());
-  ASSERT_TRUE(engine.RegisterDynamicGraph("g", BaseGraph()).ok());
+  ServeCluster cluster(b.servable, SmallClusterOptions());
+  ASSERT_TRUE(cluster.RegisterDynamicGraph("g", BaseGraph()).ok());
 
   // Warm the cache with unrelated graphs.
   const int kUnrelated = 4;
   for (int i = 0; i < kUnrelated; ++i) {
-    ASSERT_TRUE(engine.Classify(b.dataset.graph(i)).ok());
+    ASSERT_TRUE(cluster.Submit(b.dataset.graph(i)).get().ok());
   }
   // And with the registered graph's own pre-delta structure (a miss, so
   // this is the model's fresh answer for it).
-  auto pre_delta = engine.Classify(BaseGraph());
+  auto pre_delta = cluster.Submit(BaseGraph()).get();
   ASSERT_TRUE(pre_delta.ok());
-  const size_t warmed = engine.cache().size();
+  ExpectSameBytes(pre_delta.value(), Offline(BaseGraph()));
+  const size_t warmed = cluster.cache().size();
   EXPECT_GE(warmed, 1u);
 
   // The delta inserts the post-delta result and erases nothing: every
   // unrelated entry survives (previously the serving layer would Clear()
   // the whole cache on any mutation), and so does the pre-delta entry.
-  ASSERT_TRUE(engine.ClassifyDelta("g", {EdgeUpdate::Insert(0, 2)}).ok());
-  EXPECT_EQ(engine.cache().size(), warmed + 1);
+  ASSERT_TRUE(cluster.ClassifyDelta("g", {EdgeUpdate::Insert(0, 2)}).ok());
+  EXPECT_EQ(cluster.cache().size(), warmed + 1);
 
   // The unrelated graphs are still hits.
-  const int64_t hits_before = engine.cache().hits();
+  const int64_t hits_before = cluster.cache().hits();
   for (int i = 0; i < kUnrelated; ++i) {
-    ASSERT_TRUE(engine.Classify(b.dataset.graph(i)).ok());
+    ASSERT_TRUE(cluster.Submit(b.dataset.graph(i)).get().ok());
   }
-  EXPECT_EQ(engine.cache().hits(), hits_before + kUnrelated);
+  EXPECT_EQ(cluster.cache().hits(), hits_before + kUnrelated);
 
   // The pre-delta structure's entry was kept (its exact key still names
   // that graph): classifying it again hits and returns the fresh answer's
   // bytes.
-  const int64_t misses_before = engine.cache().misses();
-  auto again = engine.Classify(BaseGraph());
+  const int64_t misses_before = cluster.cache().misses();
+  auto again = cluster.Submit(BaseGraph()).get();
   ASSERT_TRUE(again.ok());
-  EXPECT_EQ(engine.cache().misses(), misses_before);
-  EXPECT_EQ(engine.cache().hits(), hits_before + kUnrelated + 1);
+  EXPECT_EQ(cluster.cache().misses(), misses_before);
+  EXPECT_EQ(cluster.cache().hits(), hits_before + kUnrelated + 1);
   ExpectSameBytes(again.value(), pre_delta.value());
 }
 
 TEST(DynamicServeTest, DeltaThenRevertIsIncrementalHit) {
   TrainedBundle& b = Bundle();
-  InferenceEngine engine(b.servable, SmallEngineOptions());
-  ASSERT_TRUE(engine.RegisterDynamicGraph("g", BaseGraph()).ok());
+  ServeCluster cluster(b.servable, SmallClusterOptions());
+  ASSERT_TRUE(cluster.RegisterDynamicGraph("g", BaseGraph()).ok());
 
   // Warm the current structure, then apply a delta whose net effect is the
   // identity (insert + revert in one atomic batch): the pre- and post-delta
   // keys coincide, so nothing is invalidated and the answer is an
   // incremental cache hit — no forward pass.
-  ASSERT_TRUE(engine.Classify(BaseGraph()).ok());
-  ASSERT_TRUE(engine
+  ASSERT_TRUE(cluster.Submit(BaseGraph()).get().ok());
+  ASSERT_TRUE(cluster
                   .ClassifyDelta("g", {EdgeUpdate::Insert(0, 2),
                                        EdgeUpdate::Remove(0, 2)})
                   .ok());
-  EXPECT_EQ(engine.metrics().dynamic_updates(), 2);
-  EXPECT_EQ(engine.metrics().dynamic_incremental_hits(), 1);
-  EXPECT_EQ(engine.metrics().dynamic_full_recomputes(), 0);
+  EXPECT_EQ(cluster.metrics().dynamic_updates(), 2);
+  EXPECT_EQ(cluster.metrics().dynamic_incremental_hits(), 1);
+  EXPECT_EQ(cluster.metrics().dynamic_full_recomputes(), 0);
 
   // A structure-changing delta misses (computes and warms the new entry);
   // an empty delta is then a pure cache probe of the current structure and
   // hits the entry the miss path just warmed.
-  ASSERT_TRUE(engine.ClassifyDelta("g", {EdgeUpdate::Insert(0, 2)}).ok());
-  EXPECT_EQ(engine.metrics().dynamic_full_recomputes(), 1);
-  ASSERT_TRUE(engine.ClassifyDelta("g", {}).ok());
-  EXPECT_EQ(engine.metrics().dynamic_incremental_hits(), 2);
+  ASSERT_TRUE(cluster.ClassifyDelta("g", {EdgeUpdate::Insert(0, 2)}).ok());
+  EXPECT_EQ(cluster.metrics().dynamic_full_recomputes(), 1);
+  ASSERT_TRUE(cluster.ClassifyDelta("g", {}).ok());
+  EXPECT_EQ(cluster.metrics().dynamic_incremental_hits(), 2);
 }
 
 TEST(DynamicServeTest, ErrorsLeaveRegisteredGraphUntouched) {
   TrainedBundle& b = Bundle();
-  InferenceEngine engine(b.servable, SmallEngineOptions());
-  ASSERT_TRUE(engine.RegisterDynamicGraph("g", BaseGraph()).ok());
-  EXPECT_EQ(engine.RegisterDynamicGraph("g", BaseGraph()).code(),
+  ServeCluster cluster(b.servable, SmallClusterOptions());
+  ASSERT_TRUE(cluster.RegisterDynamicGraph("g", BaseGraph()).ok());
+  EXPECT_EQ(cluster.RegisterDynamicGraph("g", BaseGraph()).code(),
             StatusCode::kFailedPrecondition);  // duplicate id
 
-  auto missing = engine.ClassifyDelta("nope", {EdgeUpdate::Insert(0, 2)});
+  auto missing = cluster.ClassifyDelta("nope", {EdgeUpdate::Insert(0, 2)});
   EXPECT_EQ(missing.status().code(), StatusCode::kNotFound);
 
   // Invalid delta (second update re-inserts an existing edge): atomic
   // rejection, graph unchanged, nothing counted as an update.
-  auto bad = engine.ClassifyDelta(
+  auto bad = cluster.ClassifyDelta(
       "g", {EdgeUpdate::Insert(0, 2), EdgeUpdate::Insert(0, 1)});
   EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_EQ(engine.metrics().dynamic_updates(), 0);
-  auto snapshot = engine.dynamic_graphs().Snapshot("g");
+  EXPECT_EQ(cluster.metrics().dynamic_updates(), 0);
+  auto snapshot = cluster.dynamic_graphs().Snapshot("g");
   ASSERT_TRUE(snapshot.ok());
   EXPECT_FALSE(snapshot.value().HasEdge(0, 2));
 
-  ASSERT_TRUE(engine.UnregisterDynamicGraph("g").ok());
-  EXPECT_EQ(engine.UnregisterDynamicGraph("g").code(), StatusCode::kNotFound);
+  ASSERT_TRUE(cluster.UnregisterDynamicGraph("g").ok());
+  EXPECT_EQ(cluster.UnregisterDynamicGraph("g").code(), StatusCode::kNotFound);
 }
 
 TEST(DynamicServeTest, StoreDeltasRaceUnregisterSafely) {
@@ -310,61 +308,53 @@ TEST(DynamicServeTest, StoreKeyEqualsKeyForSnapshotUnderRandomDeltas) {
 
 TEST(DynamicServeTest, ClusterClassifyDeltaMatchesEngine) {
   TrainedBundle& b = Bundle();
-  ServeCluster::Options options;
-  options.num_replicas = 2;
-  options.cache_capacity = 64;
-  options.replica.num_threads = 1;
-  ServeCluster cluster(b.servable, options);
-  ASSERT_TRUE(cluster.RegisterDynamicGraph("g", BaseGraph()).ok());
+  for (size_t replicas : {size_t{1}, size_t{4}}) {
+    SCOPED_TRACE(replicas);
+    ServeCluster cluster(b.servable, SmallClusterOptions(replicas));
+    ASSERT_TRUE(cluster.RegisterDynamicGraph("g", BaseGraph()).ok());
+    graph::Graph shadow = BaseGraph();
+    ASSERT_TRUE(shadow.AddEdge(0, 3));
 
-  InferenceEngine oracle(Bundle().servable, SmallEngineOptions(0));
-  graph::Graph shadow = BaseGraph();
-  ASSERT_TRUE(shadow.AddEdge(0, 3));
+    auto via_delta = cluster.ClassifyDelta("g", {EdgeUpdate::Insert(0, 3)});
+    ASSERT_TRUE(via_delta.ok()) << via_delta.status().ToString();
+    ExpectSameBytes(via_delta.value(), Offline(shadow));
+    EXPECT_EQ(cluster.metrics().dynamic_updates(), 1);
+    EXPECT_EQ(cluster.metrics().dynamic_full_recomputes(), 1);
 
-  auto via_delta = cluster.ClassifyDelta("g", {EdgeUpdate::Insert(0, 3)});
-  ASSERT_TRUE(via_delta.ok()) << via_delta.status().ToString();
-  auto fresh = oracle.Classify(shadow);
-  ASSERT_TRUE(fresh.ok());
-  EXPECT_EQ(via_delta.value().label, fresh.value().label);
-  EXPECT_EQ(via_delta.value().probabilities, fresh.value().probabilities);
-  EXPECT_EQ(cluster.metrics().dynamic_updates(), 1);
-  EXPECT_EQ(cluster.metrics().dynamic_full_recomputes(), 1);
-
-  // An empty delta probes the current structure: the cluster cache serves
-  // the entry the miss path above just warmed.
-  ASSERT_TRUE(cluster.ClassifyDelta("g", {}).ok());
-  EXPECT_EQ(cluster.metrics().dynamic_incremental_hits(), 1);
+    // An empty delta probes the current structure: the cluster cache serves
+    // the entry the miss path above just warmed.
+    auto probe = cluster.ClassifyDelta("g", {});
+    ASSERT_TRUE(probe.ok());
+    EXPECT_EQ(cluster.metrics().dynamic_incremental_hits(), 1);
+    ExpectSameBytes(probe.value(), Offline(shadow));
+  }
 }
 
 TEST(DynamicServeTest, ClusterUndoDeltaHitsPreDeltaEntry) {
   TrainedBundle& b = Bundle();
-  ServeCluster::Options options;
-  options.num_replicas = 2;
-  options.cache_capacity = 64;
-  options.replica.num_threads = 1;
-  ServeCluster cluster(b.servable, options);
-  ASSERT_TRUE(cluster.RegisterDynamicGraph("g", BaseGraph()).ok());
-  InferenceEngine oracle(b.servable, SmallEngineOptions(0));
+  for (size_t replicas : {size_t{1}, size_t{4}}) {
+    SCOPED_TRACE(replicas);
+    ServeCluster cluster(b.servable, SmallClusterOptions(replicas));
+    ASSERT_TRUE(cluster.RegisterDynamicGraph("g", BaseGraph()).ok());
 
-  // Two structure-changing deltas: each misses and warms its own entry.
-  graph::Graph shadow = BaseGraph();
-  ASSERT_TRUE(shadow.AddEdge(0, 3));
-  ASSERT_TRUE(cluster.ClassifyDelta("g", {EdgeUpdate::Insert(0, 3)}).ok());
-  ASSERT_TRUE(cluster.ClassifyDelta("g", {EdgeUpdate::Insert(1, 4)}).ok());
-  EXPECT_EQ(cluster.metrics().dynamic_full_recomputes(), 2);
-  EXPECT_EQ(cluster.cache().size(), 2u);
+    // Two structure-changing deltas: each misses and warms its own entry.
+    graph::Graph shadow = BaseGraph();
+    ASSERT_TRUE(shadow.AddEdge(0, 3));
+    ASSERT_TRUE(cluster.ClassifyDelta("g", {EdgeUpdate::Insert(0, 3)}).ok());
+    ASSERT_TRUE(cluster.ClassifyDelta("g", {EdgeUpdate::Insert(1, 4)}).ok());
+    EXPECT_EQ(cluster.metrics().dynamic_full_recomputes(), 2);
+    EXPECT_EQ(cluster.cache().size(), 2u);
 
-  // Undoing the second delta returns to the structure the first one left:
-  // the entry that delta warmed is still there, so the undo is an
-  // incremental hit, with the model's answer for that graph to the byte.
-  auto undo = cluster.ClassifyDelta("g", {EdgeUpdate::Remove(1, 4)});
-  ASSERT_TRUE(undo.ok()) << undo.status().ToString();
-  EXPECT_EQ(cluster.metrics().dynamic_incremental_hits(), 1);
-  EXPECT_EQ(cluster.metrics().dynamic_full_recomputes(), 2);
-  EXPECT_EQ(cluster.cache().size(), 2u);
-  auto fresh = oracle.Classify(shadow);
-  ASSERT_TRUE(fresh.ok());
-  ExpectSameBytes(undo.value(), fresh.value());
+    // Undoing the second delta returns to the structure the first one left:
+    // the entry that delta warmed is still there, so the undo is an
+    // incremental hit, with the model's answer for that graph to the byte.
+    auto undo = cluster.ClassifyDelta("g", {EdgeUpdate::Remove(1, 4)});
+    ASSERT_TRUE(undo.ok()) << undo.status().ToString();
+    EXPECT_EQ(cluster.metrics().dynamic_incremental_hits(), 1);
+    EXPECT_EQ(cluster.metrics().dynamic_full_recomputes(), 2);
+    EXPECT_EQ(cluster.cache().size(), 2u);
+    ExpectSameBytes(undo.value(), Offline(shadow));
+  }
 }
 
 /// Arms "serve.cache.lookup" to fire on every lookup, stalling it for
@@ -389,11 +379,7 @@ class SlowLookupMiss {
 
 TEST(DynamicServeTest, ClusterDeltaMissLatencyCountsFromEntry) {
   TrainedBundle& b = Bundle();
-  ServeCluster::Options options;
-  options.num_replicas = 1;
-  options.cache_capacity = 64;
-  options.replica.num_threads = 1;
-  ServeCluster cluster(b.servable, options);
+  ServeCluster cluster(b.servable, SmallClusterOptions());
   ASSERT_TRUE(cluster.RegisterDynamicGraph("g", BaseGraph()).ok());
   {
     SlowLookupMiss slow;
@@ -406,29 +392,14 @@ TEST(DynamicServeTest, ClusterDeltaMissLatencyCountsFromEntry) {
   EXPECT_GE(cluster.metrics().Latency("queue").max, SlowLookupMiss::kStallUs);
 }
 
-TEST(DynamicServeTest, EngineDeltaMissLatencyCountsFromEntry) {
-  TrainedBundle& b = Bundle();
-  InferenceEngine engine(b.servable, SmallEngineOptions());
-  ASSERT_TRUE(engine.RegisterDynamicGraph("g", BaseGraph()).ok());
-  {
-    SlowLookupMiss slow;
-    ASSERT_TRUE(engine.ClassifyDelta("g", {EdgeUpdate::Insert(0, 3)}).ok());
-  }
-  EXPECT_EQ(engine.metrics().dynamic_full_recomputes(), 1);
-  const serve::LatencySummary total = engine.metrics().Latency("total");
-  ASSERT_EQ(total.count, 1);
-  EXPECT_GE(total.max, SlowLookupMiss::kStallUs);
-  EXPECT_GE(engine.metrics().Latency("queue").max, SlowLookupMiss::kStallUs);
-}
-
 TEST(DynamicServeTest, DynamicCountersAppearInPrometheusScrape) {
   TrainedBundle& b = Bundle();
   obs::MetricsRegistry registry;
-  InferenceEngine::Options options = SmallEngineOptions();
+  ServeCluster::Options options = SmallClusterOptions();
   options.metrics_registry = &registry;
-  InferenceEngine engine(b.servable, options);
-  ASSERT_TRUE(engine.RegisterDynamicGraph("g", BaseGraph()).ok());
-  ASSERT_TRUE(engine.ClassifyDelta("g", {EdgeUpdate::Insert(0, 2)}).ok());
+  ServeCluster cluster(b.servable, options);
+  ASSERT_TRUE(cluster.RegisterDynamicGraph("g", BaseGraph()).ok());
+  ASSERT_TRUE(cluster.ClassifyDelta("g", {EdgeUpdate::Insert(0, 2)}).ok());
 
   std::ostringstream scrape;
   registry.WritePrometheusText(scrape);

@@ -2,7 +2,7 @@
 // percentiles (the NearestRankIndex regression suite), agreement between the
 // retained-sample percentiles and the registry-histogram estimates, and the
 // end-to-end invariant that every Submit increments exactly one stage
-// histogram chain in the engine's registry, and the WL dictionary gauge.
+// histogram chain in the cluster's registry, and the WL dictionary gauge.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -14,16 +14,16 @@
 #include "core/deepmap.h"
 #include "datasets/registry.h"
 #include "nn/model.h"
-#include "serve/engine.h"
+#include "serve/cluster.h"
 
 namespace deepmap {
 namespace {
 
-using serve::InferenceEngine;
 using serve::LatencySummary;
 using serve::NearestRankIndex;
 using serve::Prediction;
 using serve::RequestTiming;
+using serve::ServeCluster;
 using serve::ServeMetrics;
 using serve::ServeOutcome;
 
@@ -126,7 +126,6 @@ TEST(ServeMetricsTest, CountersLiveInRegistry) {
   metrics.RecordShed();
   metrics.RecordDeadlineExceeded("preprocess");
   metrics.RecordDegradedStale();
-  metrics.RecordRetry();
   metrics.RecordRejected();
 
   const obs::MetricsRegistry& r = metrics.registry();
@@ -142,7 +141,6 @@ TEST(ServeMetricsTest, CountersLiveInRegistry) {
   EXPECT_EQ(metrics.deadline_exceeded("preprocess"), 1);
   EXPECT_EQ(metrics.deadline_exceeded("forward"), 0);
   EXPECT_EQ(metrics.degraded_stale(), 1);
-  EXPECT_EQ(metrics.retries(), 1);
   EXPECT_EQ(metrics.rejected(), 1);
   // ok(2) + shed + deadline + degraded + rejected
   EXPECT_EQ(metrics.total_outcomes(), 6);
@@ -251,21 +249,21 @@ ObsBundle& Bundle() {
 
 TEST(ObsServeIntegrationTest, EverySubmitIncrementsOneStageChain) {
   ObsBundle& b = Bundle();
-  InferenceEngine::Options options;
+  ServeCluster::Options options;
+  options.num_replicas = 1;
   options.cache_capacity = 0;  // every request walks the full chain
-  options.batcher.max_batch = 8;
-  options.batcher.max_wait_us = 200;
-  InferenceEngine engine(b.servable, options);
+  options.replica.max_batch = 8;
+  ServeCluster cluster(b.servable, options);
 
   const int n = b.dataset.size();
   std::vector<std::future<StatusOr<Prediction>>> futures;
   for (int i = 0; i < n; ++i) {
-    futures.push_back(engine.Submit(b.dataset.graph(i)));
+    futures.push_back(cluster.Submit(b.dataset.graph(i)));
   }
   for (auto& f : futures) ASSERT_TRUE(f.get().ok());
-  engine.Drain();
+  cluster.Drain();
 
-  const ServeMetrics& metrics = engine.metrics();
+  const ServeMetrics& metrics = cluster.metrics();
   // Exactly one chain per request: each Submit lands one observation in
   // queue, preprocess, forward, and total — no drops, no double counting.
   EXPECT_EQ(metrics.requests(), n);
@@ -278,7 +276,7 @@ TEST(ObsServeIntegrationTest, EverySubmitIncrementsOneStageChain) {
 
   // The registry histograms saw the identical stream.
   obs::MetricsRegistry& registry =
-      const_cast<ServeMetrics&>(engine.metrics()).registry();
+      const_cast<ServeMetrics&>(cluster.metrics()).registry();
   for (const char* name :
        {"deepmap_serve_queue_seconds", "deepmap_serve_preprocess_seconds",
         "deepmap_serve_forward_seconds", "deepmap_serve_total_seconds"}) {
@@ -290,16 +288,16 @@ TEST(ObsServeIntegrationTest, EverySubmitIncrementsOneStageChain) {
 
 TEST(ObsServeIntegrationTest, CacheHitsSkipPipelineStages) {
   ObsBundle& b = Bundle();
-  InferenceEngine::Options options;
+  ServeCluster::Options options;
+  options.num_replicas = 1;
   options.cache_capacity = 64;
-  options.batcher.max_batch = 4;
-  options.batcher.max_wait_us = 100;
-  InferenceEngine engine(b.servable, options);
+  options.replica.max_batch = 4;
+  ServeCluster cluster(b.servable, options);
 
   const graph::Graph& g = b.dataset.graph(0);
-  ASSERT_TRUE(engine.Classify(g).ok());  // cold: full chain
-  ASSERT_TRUE(engine.Classify(g).ok());  // warm: total only
-  const ServeMetrics& metrics = engine.metrics();
+  ASSERT_TRUE(cluster.Submit(g).get().ok());  // cold: full chain
+  ASSERT_TRUE(cluster.Submit(g).get().ok());  // warm: total only
+  const ServeMetrics& metrics = cluster.metrics();
   EXPECT_EQ(metrics.requests(), 2);
   EXPECT_EQ(metrics.cache_hits(), 1);
   EXPECT_EQ(metrics.stage_count("total"), 2);
@@ -309,11 +307,11 @@ TEST(ObsServeIntegrationTest, CacheHitsSkipPipelineStages) {
 
 TEST(ObsServeIntegrationTest, WlColorsGaugeGrowsOnlyWithNovelSignatures) {
   ObsBundle& b = Bundle();
-  InferenceEngine::Options options;
+  ServeCluster::Options options;
+  options.num_replicas = 1;
   options.cache_capacity = 0;  // a repeat is refined again, not answered
-  options.batcher.max_batch = 4;
-  options.batcher.max_wait_us = 100;
-  InferenceEngine engine(b.servable, options);
+  options.replica.max_batch = 4;
+  ServeCluster cluster(b.servable, options);
 
   datasets::DatasetOptions novel_options;
   novel_options.min_graphs = 8;
@@ -328,24 +326,24 @@ TEST(ObsServeIntegrationTest, WlColorsGaugeGrowsOnlyWithNovelSignatures) {
 
   auto serve_all = [&] {
     std::vector<std::future<StatusOr<Prediction>>> futures;
-    for (const graph::Graph& g : novel) futures.push_back(engine.Submit(g));
+    for (const graph::Graph& g : novel) futures.push_back(cluster.Submit(g));
     for (auto& f : futures) ASSERT_TRUE(f.get().ok());
-    engine.Drain();
+    cluster.Drain();
   };
   const auto before =
       static_cast<int64_t>(b.servable->preprocessor().wl_colors());
   serve_all();
-  const int64_t after_novel = engine.metrics().wl_colors();
+  const int64_t after_novel = cluster.metrics().wl_colors();
   EXPECT_GT(after_novel, before);
   EXPECT_EQ(after_novel,
             static_cast<int64_t>(b.servable->preprocessor().wl_colors()));
   obs::MetricsRegistry& registry =
-      const_cast<ServeMetrics&>(engine.metrics()).registry();
+      const_cast<ServeMetrics&>(cluster.metrics()).registry();
   EXPECT_EQ(registry.GetGauge("deepmap_serve_wl_colors").Value(),
             static_cast<double>(after_novel));
 
   serve_all();  // the same graphs again: every signature is known
-  EXPECT_EQ(engine.metrics().wl_colors(), after_novel);
+  EXPECT_EQ(cluster.metrics().wl_colors(), after_novel);
 }
 
 }  // namespace

@@ -9,8 +9,9 @@
 //   - BuildFieldTable (rank-ordered lists, one epoch-stamped visited array)
 //     and BuildReceptiveField give the fields of the per-slot BFS with a
 //     fresh visited vector and a partial_sort of an overflowing hop;
-//   - so Preprocessor::PreprocessSparse and core::BuildDeepMapInput give the
-//     bytes the reference pipeline gives, on every Table-1 synthetic ×
+//   - so Preprocessor::PreprocessSparse (vertex rows against a copy of the
+//     std::map + stable_sort row routine SparseRowInto replaced) and
+//     core::BuildDeepMapInput give the bytes the reference pipeline gives, on every Table-1 synthetic ×
 //     {eigenvector, degree, PageRank, betweenness} × r ∈ {3, 5, 10}, plus
 //     R-MAT, multi-component, isolated-vertex and one-vertex graphs;
 //   - the flat WL dictionary (chunked signature arena, open-addressing slot
@@ -37,6 +38,7 @@
 #include "datasets/registry.h"
 #include "graph/algorithms.h"
 #include "graph/centrality.h"
+#include "kernels/feature_map.h"
 #include "kernels/vertex_feature_map.h"
 #include "kernels/wl.h"
 #include "nn/serialization.h"
@@ -230,10 +232,68 @@ std::vector<Vertex> ReferenceFieldTable(const Graph& g,
   return table;
 }
 
+/// The vocabulary `features` densifies by: every id of every reference
+/// vertex map.
+kernels::Vocabulary ReferenceVocabulary(
+    const kernels::DatasetVertexFeatures& features) {
+  kernels::Vocabulary vocabulary;
+  for (const auto& per_graph : features.all()) {
+    for (const kernels::SparseFeatureMap& map : per_graph) {
+      vocabulary.AddAll(map);
+    }
+  }
+  return vocabulary;
+}
+
+/// The row routine SparseRowInto replaced: column lookup over the map's
+/// (id, count) entries, a stable_sort by column (ids sharing a column keep
+/// their id order), a merge summing 0.0 + c_1 + c_2 + ..., then log1p and
+/// the column scale, dropping zeros (the configs here keep log scaling on).
+/// Built without the production row code, so a fault there shows in the
+/// bytes.
+std::vector<kernels::RowEntry> ReferenceRow(
+    const kernels::SparseFeatureMap& map,
+    const kernels::DatasetVertexFeatures& features,
+    const kernels::Vocabulary& vocabulary) {
+  std::vector<kernels::RowEntry> row;
+  for (const auto& [id, count] : map.entries()) {
+    const int64_t col =
+        features.uses_hashing()
+            ? static_cast<int64_t>(kernels::HashedColumn(
+                  id, static_cast<size_t>(features.dim())))
+            : vocabulary.ColumnOf(id);
+    if (col >= 0) row.push_back({static_cast<int32_t>(col), count});
+  }
+  std::stable_sort(row.begin(), row.end(),
+                   [](const kernels::RowEntry& a, const kernels::RowEntry& b) {
+                     return a.col < b.col;
+                   });
+  size_t out = 0;
+  for (size_t i = 0; i < row.size(); ++i) {
+    if (out > 0 && row[out - 1].col == row[i].col) {
+      row[out - 1].value += row[i].value;
+    } else {
+      row[out++] = {row[i].col, 0.0 + row[i].value};
+    }
+  }
+  row.resize(out);
+  size_t kept = 0;
+  for (kernels::RowEntry& e : row) {
+    e.value = std::log1p(e.value);
+    if (!features.column_scale().empty()) {
+      e.value *= features.column_scale()[static_cast<size_t>(e.col)];
+    }
+    if (e.value != 0.0) row[kept++] = e;
+  }
+  row.resize(kept);
+  return row;
+}
+
 /// PreprocessSparse assembled from the references.
 serve::SparseInput ReferenceSparse(
     const Graph& g, ReferenceWl& wl,
-    const kernels::DatasetVertexFeatures& features, int w, int r,
+    const kernels::DatasetVertexFeatures& features,
+    const kernels::Vocabulary& vocabulary, int w, int r,
     AlignmentMeasure measure) {
   const std::vector<kernels::SparseFeatureMap> maps = wl.VertexMaps(g);
   serve::SparseInput input;
@@ -241,7 +301,7 @@ serve::SparseInput ReferenceSparse(
   input.r = r;
   input.m = features.dim();
   for (const kernels::SparseFeatureMap& map : maps) {
-    for (const kernels::RowEntry& e : features.SparseRow(map)) {
+    for (const kernels::RowEntry& e : ReferenceRow(map, features, vocabulary)) {
       input.Push(e.col, static_cast<float>(e.value));
     }
     input.EndRow();
@@ -463,6 +523,8 @@ TEST_P(PreprocessEquivTest, PreprocessSparseBytesMatchReference) {
       // shows in the bytes.
       config.features.max_dense_dim = 64;
       serve::Preprocessor preprocessor(reference, config);
+      const kernels::Vocabulary vocabulary =
+          ReferenceVocabulary(preprocessor.features());
       ReferenceWl wl(config.features.wl.iterations);
       for (const Graph& g : reference.graphs()) wl.Refine(g);
       for (const Graph& g : corpus) {
@@ -471,8 +533,8 @@ TEST_P(PreprocessEquivTest, PreprocessSparseBytesMatchReference) {
         SCOPED_TRACE(GetParam() + " " + core::AlignmentMeasureName(measure) +
                      " r=" + std::to_string(r) + " " + g.ToString());
         ExpectSameSparse(got.value(),
-                         ReferenceSparse(g, wl, preprocessor.features(), w, r,
-                                         measure));
+                         ReferenceSparse(g, wl, preprocessor.features(),
+                                         vocabulary, w, r, measure));
       }
     }
   }

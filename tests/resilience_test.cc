@@ -1,7 +1,8 @@
-// Resilience tests for the serving stack: deadlines with stage attribution,
-// admission-control load shedding, retry-with-backoff, graceful degradation,
-// outcome accounting, and deterministic race/chaos coverage driven by fail
-// points instead of sleeps.
+// Resilience tests for the serving stack (a one-replica ServeCluster unless
+// a test says otherwise): deadlines with stage attribution, graceful
+// degradation, outcome accounting, shutdown that resolves every accepted
+// promise, and deterministic race/chaos coverage driven by fail points
+// instead of sleeps.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -20,18 +21,16 @@
 #include "datasets/registry.h"
 #include "nn/model.h"
 #include "nn/serialization.h"
-#include "serve/engine.h"
+#include "serve/cluster.h"
 
 namespace deepmap {
 namespace {
 
-using serve::InferenceEngine;
-using serve::MicroBatcher;
 using serve::Prediction;
 using serve::PredictionSource;
 using serve::RequestOptions;
+using serve::ServeCluster;
 using serve::ServeOutcome;
-using serve::ServeRequest;
 
 constexpr auto kWatchdog = std::chrono::seconds(20);
 
@@ -41,7 +40,7 @@ struct FailPointGuard {
   ~FailPointGuard() { FailPointRegistry::Instance().DisableAll(); }
 };
 
-/// A gate that a fail-point hook can park a dispatcher thread on. Once
+/// A gate that a fail-point hook can park a replica worker on. Once
 /// opened it stays open, so late evaluations (e.g. during shutdown drain)
 /// never deadlock.
 struct DispatchGate {
@@ -130,12 +129,21 @@ TrainedBundle& Bundle() {
   return *bundle;
 }
 
-InferenceEngine::Options FastOptions() {
-  InferenceEngine::Options options;
-  options.batcher.max_batch = 8;
-  options.batcher.max_wait_us = 200;
+ServeCluster::Options FastOptions() {
+  ServeCluster::Options options;
+  options.num_replicas = 1;
+  options.replica.max_batch = 8;
+  options.replica.queue_capacity = 1024;  // a saturating producer fits
   options.cache_capacity = 0;  // force the full pipeline unless a test opts in
   return options;
+}
+
+/// Arms "serve.cluster.batch" (once) to park the worker that pops the next
+/// batch on `gate`.
+void ParkNextBatchOn(DispatchGate& gate) {
+  FailPointSpec spec = FailPointSpec::Once();
+  spec.on_trigger = [&gate] { gate.Park(); };
+  FailPointRegistry::Instance().Enable("serve.cluster.batch", std::move(spec));
 }
 
 // ---------------------------------------------------------------------------
@@ -144,12 +152,12 @@ InferenceEngine::Options FastOptions() {
 TEST(DeadlineTest, ExpiredAtAdmissionIsRejectedBeforeQueueing) {
   FailPointGuard guard;
   TrainedBundle& b = Bundle();
-  InferenceEngine engine(b.servable, FastOptions());
+  ServeCluster cluster(b.servable, FastOptions());
 
   RequestOptions request;
   request.deadline =
       std::chrono::steady_clock::now() - std::chrono::milliseconds(1);
-  auto f = engine.Submit(b.dataset.graph(0), request);
+  auto f = cluster.Submit(b.dataset.graph(0), request);
   StatusOr<Prediction> result = MustResolve(f);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded);
@@ -157,7 +165,7 @@ TEST(DeadlineTest, ExpiredAtAdmissionIsRejectedBeforeQueueing) {
             std::string::npos)
       << result.status().ToString();
 
-  const serve::ServeMetrics& m = engine.metrics();
+  const serve::ServeMetrics& m = cluster.metrics();
   EXPECT_EQ(m.deadline_exceeded("admission"), 1);
   EXPECT_EQ(m.outcome_count(ServeOutcome::kDeadlineExceeded), 1);
   // The expired request never consumed a batch.
@@ -167,38 +175,38 @@ TEST(DeadlineTest, ExpiredAtAdmissionIsRejectedBeforeQueueing) {
 TEST(DeadlineTest, ExpiryWhileQueuedIsAttributedToPreprocess) {
   FailPointGuard guard;
   TrainedBundle& b = Bundle();
-  InferenceEngine engine(b.servable, FastOptions());
+  ServeCluster cluster(b.servable, FastOptions());
 
-  // Park the dispatcher (once) until the request's deadline has passed —
-  // a deterministic stand-in for a backed-up queue, no sleeps in the
-  // assertion path.
+  // Park the replica (once, batch popped but not begun) until the request's
+  // deadline has passed — a deterministic stand-in for a backed-up queue, no
+  // sleeps in the assertion path.
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::milliseconds(20);
   FailPointSpec spec = FailPointSpec::Once();
   spec.on_trigger = [deadline] {
     std::this_thread::sleep_until(deadline + std::chrono::milliseconds(2));
   };
-  FailPointRegistry::Instance().Enable("serve.batcher.dispatch",
+  FailPointRegistry::Instance().Enable("serve.cluster.batch",
                                        std::move(spec));
 
   RequestOptions request;
   request.deadline = deadline;
-  auto f = engine.Submit(b.dataset.graph(0), request);
+  auto f = cluster.Submit(b.dataset.graph(0), request);
   StatusOr<Prediction> result = MustResolve(f);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded);
   EXPECT_NE(result.status().message().find("stage=preprocess"),
             std::string::npos)
       << result.status().ToString();
-  EXPECT_EQ(engine.metrics().deadline_exceeded("preprocess"), 1);
+  EXPECT_EQ(cluster.metrics().deadline_exceeded("preprocess"), 1);
   // Skipped before preprocessing cost anything (0us recorded for the stage).
-  EXPECT_EQ(engine.metrics().Latency("preprocess").max, 0.0);
+  EXPECT_EQ(cluster.metrics().Latency("preprocess").max, 0.0);
 }
 
 TEST(DeadlineTest, ExpiryAfterPreprocessIsAttributedToForward) {
   FailPointGuard guard;
   TrainedBundle& b = Bundle();
-  InferenceEngine engine(b.servable, FastOptions());
+  ServeCluster cluster(b.servable, FastOptions());
 
   // Preprocessing finishes well inside the deadline; the sync point between
   // the pipeline stages then parks until it has expired, pinning the
@@ -214,238 +222,162 @@ TEST(DeadlineTest, ExpiryAfterPreprocessIsAttributedToForward) {
 
   RequestOptions request;
   request.deadline = deadline;
-  auto f = engine.Submit(b.dataset.graph(0), request);
+  auto f = cluster.Submit(b.dataset.graph(0), request);
   StatusOr<Prediction> result = MustResolve(f);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded);
   EXPECT_NE(result.status().message().find("stage=forward"),
             std::string::npos)
       << result.status().ToString();
-  EXPECT_EQ(engine.metrics().deadline_exceeded("forward"), 1);
+  EXPECT_EQ(cluster.metrics().deadline_exceeded("forward"), 1);
   // Preprocessing ran; only the forward pass was abandoned.
-  EXPECT_EQ(engine.metrics().stage_count("preprocess"), 1);
+  EXPECT_EQ(cluster.metrics().stage_count("preprocess"), 1);
 }
 
 // ---------------------------------------------------------------------------
-// MicroBatcher races, made deterministic with fail-point gates
+// Shutdown: every accepted promise resolves, made deterministic with
+// fail-point gates
 
-ServeRequest MakeRequest(const graph::Graph& g) {
-  ServeRequest r;
-  r.graph = g;
-  r.enqueue_time = std::chrono::steady_clock::now();
-  return r;
+/// Reads a resolved future without letting a broken promise (a request the
+/// cluster dropped) escape as an exception: it fails the test instead.
+StatusOr<Prediction> ResolvedValue(std::future<StatusOr<Prediction>>& f) {
+  try {
+    return MustResolve(f);
+  } catch (const std::future_error& e) {
+    ADD_FAILURE() << "promise abandoned: " << e.what();
+    return Status::Internal("abandoned");
+  }
 }
 
-TEST(MicroBatcherRaceTest, QueueFullOverflowNeverAbandonsPromises) {
+TEST(ClusterShutdownTest, DestructionWhileRequestsQueuedDrainsEveryPromise) {
   FailPointGuard guard;
+  TrainedBundle& b = Bundle();
   DispatchGate gate;
-  FailPointSpec spec = FailPointSpec::Always();
-  spec.on_trigger = [&gate] { gate.Park(); };
-  FailPointRegistry::Instance().Enable("serve.batcher.dispatch",
-                                       std::move(spec));
+  ParkNextBatchOn(gate);
+  ServeCluster::Options options = FastOptions();
+  options.replica.queue_capacity = 8;
+  ServeCluster* cluster = new ServeCluster(b.servable, options);
 
-  MicroBatcher::Options options;
-  options.max_batch = 1;
-  options.max_wait_us = 0;
-  options.queue_capacity = 2;
-  std::atomic<int> handled{0};
-  MicroBatcher batcher(options, [&](std::vector<ServeRequest>&& batch,
-                                    size_t) {
-    handled += static_cast<int>(batch.size());
-    for (ServeRequest& r : batch) {
-      Prediction p;
-      p.label = 0;
-      r.promise.set_value(std::move(p));
+  // The worker pops the first request and parks before running it.
+  std::vector<std::future<StatusOr<Prediction>>> accepted;
+  accepted.push_back(cluster->Submit(b.dataset.graph(0)));
+  gate.AwaitParked();
+  // Five more pile up behind the parked batch.
+  for (int i = 1; i <= 5; ++i) {
+    accepted.push_back(cluster->Submit(b.dataset.graph(i)));
+  }
+
+  // Destroy the cluster on another thread while the batch is parked: the
+  // destructor blocks joining the parked worker, so the object stays valid
+  // until the gate opens below. Until shutdown begins, a submit is queued
+  // (or bounced off the full queue); from then on it is refused with a
+  // permanent FailedPrecondition.
+  std::thread destroyer([cluster] { delete cluster; });
+  // Failures below break out instead of returning: the gate must open or
+  // the destroyer never finishes.
+  Status refused;
+  const auto watchdog = std::chrono::steady_clock::now() + kWatchdog;
+  for (int i = 0; refused.ok(); ++i) {
+    if (std::chrono::steady_clock::now() > watchdog) {
+      ADD_FAILURE() << "shutdown never refused a submit";
+      break;
     }
-  });
-
-  graph::Graph g(1);
-  std::vector<std::future<StatusOr<Prediction>>> accepted;
-
-  // First request: dequeued by the dispatcher, which then parks in the fail
-  // point hook *before* the handler runs — a deterministic stand-in for a
-  // slow batch in flight.
-  ServeRequest first = MakeRequest(g);
-  accepted.push_back(first.promise.get_future());
-  ASSERT_TRUE(batcher.Submit(std::move(first)).ok());
-  gate.AwaitParked();
-
-  // Fill the bounded queue behind the parked dispatcher, then overflow it.
-  for (int i = 0; i < 2; ++i) {
-    ServeRequest r = MakeRequest(g);
-    accepted.push_back(r.promise.get_future());
-    ASSERT_TRUE(batcher.Submit(std::move(r)).ok());
+    std::future<StatusOr<Prediction>> f =
+        cluster->Submit(b.dataset.graph(6 + i % 8));
+    if (f.wait_for(std::chrono::seconds(0)) != std::future_status::ready) {
+      accepted.push_back(std::move(f));
+      continue;
+    }
+    StatusOr<Prediction> r = f.get();
+    if (!r.ok() && r.status().code() == StatusCode::kFailedPrecondition) {
+      refused = r.status();
+    } else if (r.ok() ||
+               r.status().code() != StatusCode::kResourceExhausted) {
+      ADD_FAILURE() << "unexpected answer while the worker is parked: "
+                    << r.status().ToString();
+      break;
+    }
+    std::this_thread::yield();
   }
-  ServeRequest overflow = MakeRequest(g);
-  auto overflow_future = overflow.promise.get_future();
-  Status s = batcher.Submit(std::move(overflow));
-  ASSERT_FALSE(s.ok());
-  EXPECT_EQ(s.code(), StatusCode::kResourceExhausted);
-  EXPECT_TRUE(IsRetryable(s.code()));
-  // A failed Submit must leave the caller's promise untouched (the engine
-  // still owns it and rejects through it).
-  EXPECT_EQ(overflow_future.wait_for(std::chrono::milliseconds(0)),
-            std::future_status::timeout);
+  EXPECT_EQ(refused.code(), StatusCode::kFailedPrecondition);
+  EXPECT_FALSE(IsRetryable(refused.code()));
 
+  // The parked batch finishes and the queued requests drain: every accepted
+  // future gets a model answer.
   gate.Open();
-  for (auto& f : accepted) EXPECT_TRUE(MustResolve(f).ok());
-  EXPECT_EQ(handled.load(), 3);
+  destroyer.join();
+  for (auto& f : accepted) {
+    StatusOr<Prediction> r = ResolvedValue(f);
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+  }
 }
 
-TEST(MicroBatcherRaceTest, StopWhileRequestsEnqueuedDrainsEveryPromise) {
+TEST(ClusterShutdownTest, SweepAnswersRequestsStrandedOnACrashedReplica) {
+  // A worker that died without a supervisor to recover it strands its
+  // parked batch and its queue; destruction must still answer all of them
+  // (Unavailable), never drop a promise.
   FailPointGuard guard;
-  DispatchGate gate;
-  FailPointSpec spec = FailPointSpec::Once();  // park the first dispatch only
-  spec.on_trigger = [&gate] { gate.Park(); };
-  FailPointRegistry::Instance().Enable("serve.batcher.dispatch",
-                                       std::move(spec));
+  TrainedBundle& b = Bundle();
+  ServeCluster::Options options = FastOptions();
+  options.supervision.enabled = false;
+  auto cluster = std::make_unique<ServeCluster>(b.servable, options);
+  FailPointRegistry::Instance().Enable("serve.replica.crash",
+                                       FailPointSpec::Once());
 
-  MicroBatcher::Options options;
-  options.max_batch = 1;
-  options.max_wait_us = 0;
-  options.queue_capacity = 64;
-  std::atomic<int> handled{0};
-  auto batcher = std::make_unique<MicroBatcher>(
-      options, [&](std::vector<ServeRequest>&& batch, size_t) {
-        handled += static_cast<int>(batch.size());
-        for (ServeRequest& r : batch) {
-          Prediction p;
-          p.label = 0;
-          r.promise.set_value(std::move(p));
-        }
-      });
-
-  graph::Graph g(1);
-  std::vector<std::future<StatusOr<Prediction>>> futures;
-  ServeRequest first = MakeRequest(g);
-  futures.push_back(first.promise.get_future());
-  ASSERT_TRUE(batcher->Submit(std::move(first)).ok());
-  gate.AwaitParked();
-
-  // Five more requests pile up behind the parked dispatch.
-  for (int i = 0; i < 5; ++i) {
-    ServeRequest r = MakeRequest(g);
-    futures.push_back(r.promise.get_future());
-    ASSERT_TRUE(batcher->Submit(std::move(r)).ok());
+  std::vector<std::future<StatusOr<Prediction>>> stranded;
+  stranded.push_back(cluster->Submit(b.dataset.graph(0)));
+  const auto watchdog = std::chrono::steady_clock::now() + kWatchdog;
+  while (!cluster->replica(0).worker_exited()) {
+    ASSERT_LT(std::chrono::steady_clock::now(), watchdog) << "never crashed";
+    std::this_thread::yield();
+  }
+  for (int i = 1; i <= 4; ++i) {
+    stranded.push_back(cluster->Submit(b.dataset.graph(i)));
   }
 
-  // Stop concurrently with the parked dispatch: it must wait for the
-  // in-flight batch, then drain the queued five, never dropping a promise.
-  std::thread stopper([&] { batcher->Stop(); });
-  gate.Open();
-  stopper.join();
-
-  ServeRequest late = MakeRequest(g);
-  Status s = batcher->Submit(std::move(late));
-  ASSERT_FALSE(s.ok());
-  EXPECT_EQ(s.code(), StatusCode::kFailedPrecondition);  // permanent
-  EXPECT_FALSE(IsRetryable(s.code()));
-
-  for (auto& f : futures) EXPECT_TRUE(MustResolve(f).ok());
-  EXPECT_EQ(handled.load(), 6);
-  batcher.reset();
+  cluster.reset();
+  for (auto& f : stranded) {
+    StatusOr<Prediction> r = ResolvedValue(f);
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), StatusCode::kUnavailable)
+        << r.status().ToString();
+  }
 }
 
 // ---------------------------------------------------------------------------
-// Admission control, retry, degradation
-
-TEST(AdmissionControlTest, FullQueueShedsDeterministically) {
-  FailPointGuard guard;
-  TrainedBundle& b = Bundle();
-
-  DispatchGate gate;
-  FailPointSpec spec = FailPointSpec::Always();
-  spec.on_trigger = [&gate] { gate.Park(); };
-  FailPointRegistry::Instance().Enable("serve.batcher.dispatch",
-                                       std::move(spec));
-
-  InferenceEngine::Options options = FastOptions();
-  options.batcher.max_batch = 1;
-  options.batcher.max_wait_us = 0;
-  options.batcher.queue_capacity = 2;
-  options.admission.queue_shed_watermark = 0.5;
-  InferenceEngine engine(b.servable, options);
-
-  std::vector<std::future<StatusOr<Prediction>>> accepted;
-  // The dispatcher dequeues this request and parks, leaving the queue empty.
-  accepted.push_back(engine.Submit(b.dataset.graph(0)));
-  gate.AwaitParked();
-  // Queue depth 0 then 1/2 = watermark exactly: shed probability still 0.
-  accepted.push_back(engine.Submit(b.dataset.graph(1)));
-  accepted.push_back(engine.Submit(b.dataset.graph(2)));
-  // Depth 2/2: utilization 1.0 -> certain shed, before touching the queue.
-  auto shed = engine.Submit(b.dataset.graph(3));
-  StatusOr<Prediction> result = MustResolve(shed);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kResourceExhausted);
-  EXPECT_NE(result.status().message().find("queue depth 2/2"),
-            std::string::npos)
-      << result.status().ToString();
-  EXPECT_TRUE(IsRetryable(result.status().code()));
-  EXPECT_EQ(engine.metrics().shed(), 1);
-  EXPECT_EQ(engine.metrics().outcome_count(ServeOutcome::kShed), 1);
-
-  gate.Open();
-  for (auto& f : accepted) EXPECT_TRUE(MustResolve(f).ok());
-}
-
-TEST(RetryTest, ClassifyRetriesTransientSubmitFault) {
-  FailPointGuard guard;
-  TrainedBundle& b = Bundle();
-  InferenceEngine::Options options = FastOptions();
-  options.retry.max_attempts = 3;
-  options.retry.initial_backoff_us = 50;
-  InferenceEngine engine(b.servable, options);
-
-  // First enqueue attempt fails with a transient injected fault; the retry
-  // path must back off and succeed on the second attempt.
-  FailPointRegistry::Instance().Enable("serve.batcher.submit",
-                                       FailPointSpec::Once());
-  StatusOr<Prediction> result = engine.Classify(b.dataset.graph(0));
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_EQ(engine.metrics().retries(), 1);
-  // Both attempts were accounted: one rejected outcome, one ok.
-  EXPECT_EQ(engine.metrics().outcome_count(ServeOutcome::kRejected), 1);
-  EXPECT_EQ(engine.metrics().outcome_count(ServeOutcome::kOk), 1);
-
-  // Client errors are not retryable: no further retries burned.
-  StatusOr<Prediction> invalid = engine.Classify(graph::Graph());
-  ASSERT_FALSE(invalid.ok());
-  EXPECT_EQ(invalid.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_EQ(engine.metrics().retries(), 1);
-}
+// Degradation
 
 TEST(DegradedModeTest, FallbackAnswersWithMajorityClassWhenModelPathFails) {
   FailPointGuard guard;
   TrainedBundle& b = Bundle();
-  InferenceEngine::Options options = FastOptions();
-  options.enable_degraded = true;
-  InferenceEngine engine(b.servable, options);
+  ServeCluster::Options options = FastOptions();
+  options.replica.enable_degraded = true;
+  ServeCluster cluster(b.servable, options);
 
   FailPointRegistry::Instance().Enable("serve.preprocess",
                                        FailPointSpec::Always());
-  auto f = engine.Submit(b.dataset.graph(0));
+  auto f = cluster.Submit(b.dataset.graph(0));
   StatusOr<Prediction> result = MustResolve(f);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(result.value().source, PredictionSource::kFallback);
   EXPECT_EQ(result.value().label, b.majority_label);
 
-  EXPECT_EQ(engine.metrics().degraded_fallback(), 1);
-  EXPECT_EQ(engine.metrics().degraded(), 1);
-  EXPECT_EQ(engine.metrics().outcome_count(ServeOutcome::kDegraded), 1);
+  EXPECT_EQ(cluster.metrics().degraded_fallback(), 1);
+  EXPECT_EQ(cluster.metrics().degraded(), 1);
+  EXPECT_EQ(cluster.metrics().outcome_count(ServeOutcome::kDegraded), 1);
 }
 
 TEST(DegradedModeTest, StaleCacheAnswerPreferredOverFallback) {
   FailPointGuard guard;
   TrainedBundle& b = Bundle();
-  InferenceEngine::Options options = FastOptions();
+  ServeCluster::Options options = FastOptions();
   options.cache_capacity = 64;
-  options.enable_degraded = true;
-  InferenceEngine engine(b.servable, options);
+  options.replica.enable_degraded = true;
+  ServeCluster cluster(b.servable, options);
 
   // Warm the cache with a healthy answer.
   const graph::Graph& g = b.dataset.graph(0);
-  StatusOr<Prediction> warm = engine.Classify(g);
+  StatusOr<Prediction> warm = cluster.Submit(g).get();
   ASSERT_TRUE(warm.ok());
 
   // Now an injected cache outage (once) makes admission miss, and the
@@ -455,30 +387,30 @@ TEST(DegradedModeTest, StaleCacheAnswerPreferredOverFallback) {
                                        FailPointSpec::Once());
   FailPointRegistry::Instance().Enable("serve.forward",
                                        FailPointSpec::Always());
-  auto f = engine.Submit(g);
+  auto f = cluster.Submit(g);
   StatusOr<Prediction> stale = MustResolve(f);
   ASSERT_TRUE(stale.ok()) << stale.status().ToString();
   EXPECT_EQ(stale.value().source, PredictionSource::kStaleCache);
   EXPECT_EQ(stale.value().label, warm.value().label);
-  EXPECT_EQ(engine.metrics().degraded_stale(), 1);
-  EXPECT_EQ(engine.metrics().degraded_fallback(), 0);
+  EXPECT_EQ(cluster.metrics().degraded_stale(), 1);
+  EXPECT_EQ(cluster.metrics().degraded_fallback(), 0);
 }
 
 TEST(DegradedModeTest, DisabledByDefaultSurfacesTypedError) {
   FailPointGuard guard;
   TrainedBundle& b = Bundle();
-  InferenceEngine engine(b.servable, FastOptions());
+  ServeCluster cluster(b.servable, FastOptions());
 
   FailPointRegistry::Instance().Enable("serve.preprocess",
                                        FailPointSpec::Always());
-  auto f = engine.Submit(b.dataset.graph(0));
+  auto f = cluster.Submit(b.dataset.graph(0));
   StatusOr<Prediction> result = MustResolve(f);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kUnavailable);
   EXPECT_NE(result.status().message().find("serve.preprocess"),
             std::string::npos)
       << result.status().ToString();
-  EXPECT_EQ(engine.metrics().outcome_count(ServeOutcome::kError), 1);
+  EXPECT_EQ(cluster.metrics().outcome_count(ServeOutcome::kError), 1);
 }
 
 // ---------------------------------------------------------------------------
@@ -489,43 +421,42 @@ TEST(ServeMetricsOutcomeTest, MixedOutcomesSumToSubmissions) {
   TrainedBundle& b = Bundle();
 
   DispatchGate gate;
-  {
-    FailPointSpec spec = FailPointSpec::Once();
-    spec.on_trigger = [&gate] { gate.Park(); };
-    FailPointRegistry::Instance().Enable("serve.batcher.dispatch",
-                                         std::move(spec));
-  }
+  ParkNextBatchOn(gate);
 
-  InferenceEngine::Options options = FastOptions();
-  options.batcher.max_batch = 1;
-  options.batcher.max_wait_us = 0;
-  options.batcher.queue_capacity = 2;
-  options.admission.queue_shed_watermark = 0.5;
-  options.enable_degraded = true;
-  InferenceEngine engine(b.servable, options);
+  // Queue capacity 2 with the fair-share watermark at 0.5: admission arms
+  // once more than one request is queued.
+  ServeCluster::Options options = FastOptions();
+  options.replica.queue_capacity = 2;
+  options.fair_share_watermark = 0.5;
+  options.replica.enable_degraded = true;
+  ServeCluster cluster(b.servable, options);
 
   int64_t submitted = 0;
   std::vector<std::future<StatusOr<Prediction>>> pending;
 
-  // Phase 1 (shed): park the first dispatch (dequeued, so the queue is
-  // empty again), fill the queue to capacity, then submit into certain shed.
-  pending.push_back(engine.Submit(b.dataset.graph(0)));
+  // Phase 1 (shed): the default tenant's request is popped and parked (the
+  // queue is empty again). Two tenants now hold requests, so "noisy"'s fair
+  // share is 2 / 2 = 1: its first two requests are admitted below the
+  // watermark, its third — backlog 2 > 1, two in flight — is shed.
+  pending.push_back(cluster.Submit(b.dataset.graph(0)));
   ++submitted;
   gate.AwaitParked();
-  pending.push_back(engine.Submit(b.dataset.graph(1)));
+  RequestOptions noisy;
+  noisy.tenant = "noisy";
+  pending.push_back(cluster.Submit(b.dataset.graph(1), noisy));
   ++submitted;
-  pending.push_back(engine.Submit(b.dataset.graph(2)));
+  pending.push_back(cluster.Submit(b.dataset.graph(2), noisy));
   ++submitted;
-  pending.push_back(engine.Submit(b.dataset.graph(3)));  // depth 2/2: shed
+  pending.push_back(cluster.Submit(b.dataset.graph(3), noisy));  // shed
   ++submitted;
   gate.Open();
   for (auto& f : pending) (void)MustResolve(f);
   pending.clear();
-  engine.Drain();
+  cluster.Drain();
 
   // Phase 2 (ok): a few healthy requests.
   for (int i = 0; i < 3; ++i) {
-    StatusOr<Prediction> r = engine.Classify(b.dataset.graph(i));
+    StatusOr<Prediction> r = cluster.Submit(b.dataset.graph(i)).get();
     ++submitted;
     EXPECT_TRUE(r.ok());
   }
@@ -534,19 +465,19 @@ TEST(ServeMetricsOutcomeTest, MixedOutcomesSumToSubmissions) {
   RequestOptions expired;
   expired.deadline =
       std::chrono::steady_clock::now() - std::chrono::milliseconds(1);
-  auto f = engine.Submit(b.dataset.graph(0), expired);
+  auto f = cluster.Submit(b.dataset.graph(0), expired);
   ++submitted;
   (void)MustResolve(f);
 
   // Phase 4 (degraded): one injected preprocessing fault.
   FailPointRegistry::Instance().Enable("serve.preprocess",
                                        FailPointSpec::Once());
-  StatusOr<Prediction> degraded = engine.Classify(b.dataset.graph(3));
+  StatusOr<Prediction> degraded = cluster.Submit(b.dataset.graph(3)).get();
   ++submitted;
   ASSERT_TRUE(degraded.ok());
   EXPECT_EQ(degraded.value().source, PredictionSource::kFallback);
 
-  const serve::ServeMetrics& m = engine.metrics();
+  const serve::ServeMetrics& m = cluster.metrics();
   // Exactly one outcome per submission — the accounting invariant.
   EXPECT_EQ(m.total_outcomes(), submitted);
   int64_t sum = 0;
@@ -578,10 +509,7 @@ TEST(ServeMetricsOutcomeTest, MixedOutcomesSumToSubmissions) {
 TEST(ChaosTest, EveryFutureResolvesUnderInjectedPreprocessFaults) {
   FailPointGuard guard;
   TrainedBundle& b = Bundle();
-  InferenceEngine::Options options = FastOptions();
-  options.batcher.max_batch = 8;
-  options.batcher.max_wait_us = 100;
-  InferenceEngine engine(b.servable, options);
+  ServeCluster cluster(b.servable, FastOptions());
 
   // 15% injected preprocessing faults, deterministic stream.
   FailPointRegistry::Instance().Enable(
@@ -591,7 +519,7 @@ TEST(ChaosTest, EveryFutureResolvesUnderInjectedPreprocessFaults) {
   std::vector<std::future<StatusOr<Prediction>>> futures;
   for (int round = 0; round < kRounds; ++round) {
     for (const graph::Graph& g : b.dataset.graphs()) {
-      futures.push_back(engine.Submit(g));  // saturating: never waits
+      futures.push_back(cluster.Submit(g));  // saturating: never waits
     }
   }
   const int64_t submitted = static_cast<int64_t>(futures.size());
@@ -612,12 +540,12 @@ TEST(ChaosTest, EveryFutureResolvesUnderInjectedPreprocessFaults) {
       ++unavailable;
     }
   }
-  engine.Drain();
+  cluster.Drain();
 
   EXPECT_EQ(ok + unavailable, submitted);
   EXPECT_GT(unavailable, 0);  // the fault stream actually fired
   EXPECT_GT(ok, 0);           // ... and did not take the service down
-  const serve::ServeMetrics& m = engine.metrics();
+  const serve::ServeMetrics& m = cluster.metrics();
   EXPECT_EQ(m.total_outcomes(), submitted);
   EXPECT_EQ(m.outcome_count(ServeOutcome::kOk), ok);
   EXPECT_EQ(m.outcome_count(ServeOutcome::kError), unavailable);

@@ -1,16 +1,14 @@
-// Tests for the serving subsystem: prediction cache LRU behavior, micro
-// batcher coalescing/backpressure, serialization robustness, tensor copy
-// accounting, and served-vs-offline prediction equivalence.
+// Tests for the serving subsystem: prediction cache LRU behavior,
+// serialization robustness, tensor copy accounting, and served-vs-offline
+// prediction equivalence through the ServeCluster front end.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <mutex>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -22,8 +20,8 @@
 #include "kernels/wl.h"
 #include "nn/model.h"
 #include "nn/serialization.h"
+#include "offline_prediction.h"
 #include "serve/cluster.h"
-#include "serve/engine.h"
 #include "serve/preprocessor.h"
 
 namespace deepmap {
@@ -31,12 +29,9 @@ namespace {
 
 using serve::CompiledModel;
 using serve::ForwardScratch;
-using serve::InferenceEngine;
-using serve::MicroBatcher;
 using serve::Prediction;
 using serve::PredictionCache;
 using serve::ServeCluster;
-using serve::ServeRequest;
 
 Prediction MakePrediction(int label) {
   Prediction p;
@@ -200,204 +195,6 @@ TEST(PredictionCacheTest, ConcurrentShardedAccessKeepsCountsConsistent) {
   EXPECT_EQ(cache.hits() + cache.misses(),
             int64_t{kThreads} * kOpsPerThread);
   EXPECT_LE(cache.size(), 64u);
-}
-
-// ---------------------------------------------------------------------------
-// MicroBatcher
-
-ServeRequest MakeRequest() {
-  ServeRequest r;
-  r.graph = graph::Graph(1);
-  r.enqueue_time = std::chrono::steady_clock::now();
-  return r;
-}
-
-void FulfillAll(std::vector<ServeRequest>& batch) {
-  for (ServeRequest& r : batch) r.promise.set_value(MakePrediction(0));
-}
-
-TEST(MicroBatcherTest, SubmitWakesIdleDispatcherImmediately) {
-  // Regression: an idle dispatcher must sleep on the work cv, not poll on a
-  // max_wait_us-bounded timer. With max_batch == 1 the size trigger fires
-  // the moment one request arrives, so a wait bounded only by the 60 s
-  // window below would hang far past the watchdog.
-  MicroBatcher::Options options;
-  options.max_batch = 1;
-  options.max_wait_us = 60 * 1000 * 1000;
-  MicroBatcher batcher(options, [](std::vector<ServeRequest>&& batch,
-                                   size_t) { FulfillAll(batch); });
-
-  ServeRequest request = MakeRequest();
-  std::future<StatusOr<Prediction>> future = request.promise.get_future();
-  ASSERT_TRUE(batcher.Submit(std::move(request)).ok());
-  ASSERT_EQ(future.wait_for(std::chrono::seconds(10)),
-            std::future_status::ready)
-      << "idle dispatcher slept through a submit wakeup";
-  EXPECT_TRUE(future.get().ok());
-  batcher.Stop();
-}
-
-TEST(MicroBatcherTest, FlushesWhenBatchIsFull) {
-  MicroBatcher::Options options;
-  options.max_batch = 4;
-  options.max_wait_us = 60 * 1000 * 1000;  // only the size trigger can fire
-  std::mutex mu;
-  std::vector<size_t> batch_sizes;
-  MicroBatcher batcher(options, [&](std::vector<ServeRequest>&& batch,
-                                    size_t) {
-    {
-      std::lock_guard<std::mutex> lock(mu);
-      batch_sizes.push_back(batch.size());
-    }
-    FulfillAll(batch);
-  });
-
-  std::vector<std::future<StatusOr<Prediction>>> futures;
-  for (int i = 0; i < 4; ++i) {
-    ServeRequest r = MakeRequest();
-    futures.push_back(r.promise.get_future());
-    ASSERT_TRUE(batcher.Submit(std::move(r)).ok());
-  }
-  for (auto& f : futures) EXPECT_TRUE(f.get().ok());
-
-  std::lock_guard<std::mutex> lock(mu);
-  ASSERT_EQ(batch_sizes.size(), 1u);
-  EXPECT_EQ(batch_sizes[0], 4u);
-}
-
-TEST(MicroBatcherTest, FlushesOnTimeoutWithPartialBatch) {
-  MicroBatcher::Options options;
-  options.max_batch = 100;  // never reached
-  options.max_wait_us = 2000;
-  std::mutex mu;
-  std::vector<size_t> batch_sizes;
-  MicroBatcher batcher(options, [&](std::vector<ServeRequest>&& batch,
-                                    size_t) {
-    {
-      std::lock_guard<std::mutex> lock(mu);
-      batch_sizes.push_back(batch.size());
-    }
-    FulfillAll(batch);
-  });
-
-  ServeRequest a = MakeRequest();
-  ServeRequest b = MakeRequest();
-  auto fa = a.promise.get_future();
-  auto fb = b.promise.get_future();
-  ASSERT_TRUE(batcher.Submit(std::move(a)).ok());
-  ASSERT_TRUE(batcher.Submit(std::move(b)).ok());
-  // Only the deadline can flush this partial batch.
-  EXPECT_TRUE(fa.get().ok());
-  EXPECT_TRUE(fb.get().ok());
-
-  std::lock_guard<std::mutex> lock(mu);
-  ASSERT_GE(batch_sizes.size(), 1u);
-  EXPECT_LE(batch_sizes[0], 2u);
-}
-
-TEST(MicroBatcherTest, BoundedQueueRejectsWhenFull) {
-  MicroBatcher::Options options;
-  options.max_batch = 1;
-  options.max_wait_us = 0;
-  options.queue_capacity = 2;
-  std::mutex gate_mu;
-  std::condition_variable gate_cv;
-  bool gate_open = false;
-  std::atomic<int> handled{0};
-  MicroBatcher batcher(options, [&](std::vector<ServeRequest>&& batch,
-                                    size_t) {
-    // Block the dispatcher on the first batch so the queue can fill up.
-    std::unique_lock<std::mutex> lock(gate_mu);
-    gate_cv.wait(lock, [&] { return gate_open; });
-    handled += static_cast<int>(batch.size());
-    FulfillAll(batch);
-  });
-
-  // First request is picked up by the dispatcher and parks in the handler.
-  ServeRequest first = MakeRequest();
-  auto f0 = first.promise.get_future();
-  ASSERT_TRUE(batcher.Submit(std::move(first)).ok());
-  while (batcher.queue_depth() != 0) std::this_thread::yield();
-
-  // Now fill the bounded queue behind the parked dispatcher.
-  std::vector<std::future<StatusOr<Prediction>>> futures;
-  futures.push_back(std::move(f0));
-  for (int i = 0; i < 2; ++i) {
-    ServeRequest r = MakeRequest();
-    futures.push_back(r.promise.get_future());
-    ASSERT_TRUE(batcher.Submit(std::move(r)).ok());
-  }
-  ServeRequest overflow = MakeRequest();
-  Status s = batcher.Submit(std::move(overflow));
-  EXPECT_FALSE(s.ok());
-  // Queue-full is retryable backpressure, distinct from the permanent
-  // FailedPrecondition of a stopped batcher.
-  EXPECT_EQ(s.code(), StatusCode::kResourceExhausted);
-
-  {
-    std::lock_guard<std::mutex> lock(gate_mu);
-    gate_open = true;
-  }
-  gate_cv.notify_all();
-  for (auto& f : futures) EXPECT_TRUE(f.get().ok());
-  EXPECT_EQ(handled.load(), 3);
-}
-
-TEST(MicroBatcherTest, ConcurrentSubmittersAllGetAnswers) {
-  MicroBatcher::Options options;
-  options.max_batch = 8;
-  options.max_wait_us = 500;
-  options.queue_capacity = 4096;
-  std::atomic<int> handled{0};
-  MicroBatcher batcher(options, [&](std::vector<ServeRequest>&& batch,
-                                    size_t) {
-    handled += static_cast<int>(batch.size());
-    FulfillAll(batch);
-  });
-
-  constexpr int kThreads = 4;
-  constexpr int kPerThread = 25;
-  std::atomic<int> answered{0};
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&] {
-      for (int i = 0; i < kPerThread; ++i) {
-        ServeRequest r = MakeRequest();
-        auto f = r.promise.get_future();
-        ASSERT_TRUE(batcher.Submit(std::move(r)).ok());
-        if (f.get().ok()) ++answered;
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  batcher.Drain();
-  EXPECT_EQ(answered.load(), kThreads * kPerThread);
-  EXPECT_EQ(handled.load(), kThreads * kPerThread);
-  EXPECT_EQ(batcher.queue_depth(), 0u);
-}
-
-TEST(MicroBatcherTest, StopDrainsQueuedRequests) {
-  MicroBatcher::Options options;
-  options.max_batch = 64;
-  options.max_wait_us = 60 * 1000 * 1000;  // no deadline flush
-  std::atomic<int> handled{0};
-  std::vector<std::future<StatusOr<Prediction>>> futures;
-  {
-    MicroBatcher batcher(options, [&](std::vector<ServeRequest>&& batch,
-                                      size_t) {
-      handled += static_cast<int>(batch.size());
-      FulfillAll(batch);
-    });
-    for (int i = 0; i < 5; ++i) {
-      ServeRequest r = MakeRequest();
-      futures.push_back(r.promise.get_future());
-      ASSERT_TRUE(batcher.Submit(std::move(r)).ok());
-    }
-    // Destruction stops the batcher, which must flush the 5 queued
-    // requests (far below both triggers) instead of dropping them.
-  }
-  EXPECT_EQ(handled.load(), 5);
-  for (auto& f : futures) EXPECT_TRUE(f.get().ok());
 }
 
 // ---------------------------------------------------------------------------
@@ -744,44 +541,58 @@ TEST(RegistryBackendTest, UnknownBackendNameIsInvalidArgument) {
   std::filesystem::remove(path);
 }
 
-TEST(InferenceEngineTest, ServedPredictionMatchesOfflinePipeline) {
-  TrainedBundle& b = Bundle();
-  InferenceEngine::Options options;
-  options.cache_capacity = 0;  // force the full preprocess+forward path
-  options.batcher.max_batch = 16;
-  options.batcher.max_wait_us = 200;
-  InferenceEngine engine(b.servable, options);
-
-  std::vector<std::future<StatusOr<Prediction>>> futures;
-  for (const graph::Graph& g : b.dataset.graphs()) {
-    futures.push_back(engine.Submit(g));
-  }
-  for (int i = 0; i < b.dataset.size(); ++i) {
-    StatusOr<Prediction> served = futures[static_cast<size_t>(i)].get();
-    ASSERT_TRUE(served.ok()) << served.status().ToString();
-    int offline = nn::Predict(*b.model, b.pipeline->inputs()[i]);
-    EXPECT_EQ(served.value().label, offline) << "graph " << i;
-  }
-  EXPECT_EQ(engine.metrics().requests(), b.dataset.size());
-  EXPECT_EQ(engine.metrics().cache_hits(), 0);
+/// One replica whose queue holds the whole dataset, caching off (the full
+/// preprocess + forward path) unless a test opts in.
+ServeCluster::Options SingleReplica(size_t cache_capacity = 0) {
+  ServeCluster::Options options;
+  options.num_replicas = 1;
+  options.replica.queue_capacity = 1024;
+  options.cache_capacity = cache_capacity;
+  return options;
 }
 
-TEST(InferenceEngineTest, WarmCacheHitSkipsPreprocessing) {
+TEST(ServeFrontEndTest, ServedPredictionMatchesOfflinePipeline) {
+  // Every answer, through one replica and through four, is the training
+  // stack's DeepMapModel::Forward for that graph, byte for byte.
   TrainedBundle& b = Bundle();
-  InferenceEngine::Options options;
-  options.cache_capacity = 64;
-  options.batcher.max_batch = 4;
-  options.batcher.max_wait_us = 100;
-  InferenceEngine engine(b.servable, options);
+  for (size_t replicas : {size_t{1}, size_t{4}}) {
+    SCOPED_TRACE(replicas);
+    ServeCluster::Options options = SingleReplica();
+    options.num_replicas = replicas;
+    options.replica.max_batch = 16;
+    ServeCluster cluster(b.servable, options);
+
+    std::vector<std::future<StatusOr<Prediction>>> futures;
+    for (const graph::Graph& g : b.dataset.graphs()) {
+      futures.push_back(cluster.Submit(g));
+    }
+    for (int i = 0; i < b.dataset.size(); ++i) {
+      StatusOr<Prediction> served = futures[static_cast<size_t>(i)].get();
+      ASSERT_TRUE(served.ok()) << served.status().ToString();
+      SCOPED_TRACE(i);
+      ExpectSameBytes(served.value(),
+                      OfflinePrediction(*b.model, b.pipeline->inputs()[i]));
+    }
+    cluster.Drain();
+    EXPECT_EQ(cluster.metrics().requests(), b.dataset.size());
+    EXPECT_EQ(cluster.metrics().cache_hits(), 0);
+  }
+}
+
+TEST(ServeFrontEndTest, WarmCacheHitSkipsPreprocessing) {
+  TrainedBundle& b = Bundle();
+  ServeCluster::Options options = SingleReplica(/*cache_capacity=*/64);
+  options.replica.max_batch = 4;
+  ServeCluster cluster(b.servable, options);
 
   const graph::Graph& g = b.dataset.graph(0);
-  StatusOr<Prediction> cold = engine.Classify(g);
+  StatusOr<Prediction> cold = cluster.Submit(g).get();
   ASSERT_TRUE(cold.ok());
-  StatusOr<Prediction> warm = engine.Classify(g);
+  StatusOr<Prediction> warm = cluster.Submit(g).get();
   ASSERT_TRUE(warm.ok());
   EXPECT_EQ(warm.value().label, cold.value().label);
 
-  const serve::ServeMetrics& metrics = engine.metrics();
+  const serve::ServeMetrics& metrics = cluster.metrics();
   EXPECT_EQ(metrics.requests(), 2);
   EXPECT_EQ(metrics.cache_hits(), 1);
   EXPECT_EQ(metrics.cache_misses(), 1);
@@ -790,7 +601,7 @@ TEST(InferenceEngineTest, WarmCacheHitSkipsPreprocessing) {
   EXPECT_EQ(metrics.stage_count("preprocess"), 1);
   EXPECT_EQ(metrics.stage_count("forward"), 1);
   EXPECT_EQ(metrics.stage_count("total"), 2);
-  EXPECT_EQ(engine.cache().hits(), 1);
+  EXPECT_EQ(cluster.cache().hits(), 1);
 }
 
 // ---------------------------------------------------------------------------
@@ -914,18 +725,16 @@ TEST(PredictionCacheTest, FormerKeyCollisionsGetTheirOwnAnswers) {
   EXPECT_EQ(cluster.cache().hits(), static_cast<int64_t>(pairs.size()));
 }
 
-TEST(InferenceEngineTest, RejectsUnservableGraphs) {
+TEST(ServeFrontEndTest, RejectsUnservableGraphs) {
   TrainedBundle& b = Bundle();
-  InferenceEngine::Options options;
-  options.batcher.max_wait_us = 100;
-  InferenceEngine engine(b.servable, options);
+  ServeCluster cluster(b.servable, SingleReplica(/*cache_capacity=*/64));
 
-  StatusOr<Prediction> empty = engine.Classify(graph::Graph());
+  StatusOr<Prediction> empty = cluster.Submit(graph::Graph()).get();
   EXPECT_FALSE(empty.ok());
   EXPECT_EQ(empty.status().code(), StatusCode::kInvalidArgument);
 
   graph::Graph oversized(b.servable->sequence_length() + 1);
-  StatusOr<Prediction> too_big = engine.Classify(oversized);
+  StatusOr<Prediction> too_big = cluster.Submit(oversized).get();
   EXPECT_FALSE(too_big.ok());
   EXPECT_EQ(too_big.status().code(), StatusCode::kInvalidArgument);
 }
@@ -952,13 +761,11 @@ TEST(PreprocessorTest, RejectsNegativeVertexLabelsForEveryKind) {
   }
 }
 
-TEST(InferenceEngineTest, ConcurrentSubmittersGetConsistentAnswers) {
+TEST(ServeFrontEndTest, ConcurrentSubmittersGetConsistentAnswers) {
   TrainedBundle& b = Bundle();
-  InferenceEngine::Options options;
-  options.cache_capacity = 1024;
-  options.batcher.max_batch = 16;
-  options.batcher.max_wait_us = 300;
-  InferenceEngine engine(b.servable, options);
+  ServeCluster::Options options = SingleReplica(/*cache_capacity=*/1024);
+  options.replica.max_batch = 16;
+  ServeCluster cluster(b.servable, options);
 
   // Cache keys are exact, so every graph's cached prediction is its own and
   // must match the offline path on every round.
@@ -978,7 +785,8 @@ TEST(InferenceEngineTest, ConcurrentSubmittersGetConsistentAnswers) {
       for (int round = 0; round < kRounds; ++round) {
         for (int i = t; i < n; i += kThreads) {
           const size_t idx = static_cast<size_t>(i);
-          StatusOr<Prediction> served = engine.Classify(b.dataset.graph(i));
+          StatusOr<Prediction> served =
+              cluster.Submit(b.dataset.graph(i)).get();
           if (!served.ok()) {
             ++failures;
           } else if (served.value().label != expected[idx]) {
@@ -989,24 +797,23 @@ TEST(InferenceEngineTest, ConcurrentSubmittersGetConsistentAnswers) {
     });
   }
   for (auto& t : threads) t.join();
-  engine.Drain();
+  cluster.Drain();
   EXPECT_EQ(failures.load(), 0);
   EXPECT_EQ(mismatches.load(), 0);
-  EXPECT_GT(engine.metrics().cache_hits(), 0);
+  EXPECT_GT(cluster.metrics().cache_hits(), 0);
+  EXPECT_EQ(cluster.metrics().total_outcomes(), kRounds * n);
 }
 
-TEST(InferenceEngineTest, ServingLoopMakesNoTensorCopies) {
+TEST(ServeFrontEndTest, ServingLoopMakesNoTensorCopies) {
   TrainedBundle& b = Bundle();
-  InferenceEngine::Options options;
-  options.cache_capacity = 0;  // every request runs the full pipeline
-  options.batcher.max_batch = 8;
-  options.batcher.max_wait_us = 200;
-  InferenceEngine engine(b.servable, options);
+  ServeCluster::Options options = SingleReplica();  // every request runs
+  options.replica.max_batch = 8;                    // the full pipeline
+  ServeCluster cluster(b.servable, options);
 
   nn::Tensor::ResetCopyCount();
   std::vector<std::future<StatusOr<Prediction>>> futures;
   for (int i = 0; i < 8; ++i) {
-    futures.push_back(engine.Submit(b.dataset.graph(i % b.dataset.size())));
+    futures.push_back(cluster.Submit(b.dataset.graph(i % b.dataset.size())));
   }
   for (auto& f : futures) ASSERT_TRUE(f.get().ok());
   // Preprocess -> batch -> forward must move tensors end to end; a copy here

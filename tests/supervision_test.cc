@@ -28,7 +28,6 @@
 #include "nn/model.h"
 #include "nn/serialization.h"
 #include "serve/cluster.h"
-#include "serve/engine.h"
 #include "serve/supervisor.h"
 
 namespace deepmap {

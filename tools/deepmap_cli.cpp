@@ -4,8 +4,9 @@
 //   stats       print Table-1 style statistics of a dataset
 //   evaluate    k-fold cross-validate a method on a dataset
 //   generate    write a synthetic benchmark dataset in TU format
-//   serve-bench train a model, serve a request stream through the batched
-//               inference engine, and print throughput + latency metrics
+//   serve-bench train a model, serve a request stream through a ServeCluster
+//               (--replicas=N, default 1), and print throughput + latency
+//               metrics
 //
 // Datasets come either from TU-format files on disk (--data_dir=DIR
 // --dataset=NAME) or from the built-in synthetic generators
@@ -44,7 +45,6 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "serve/cluster.h"
-#include "serve/engine.h"
 
 namespace {
 
@@ -90,10 +90,10 @@ std::optional<std::vector<FlagSpec>> CommandFlags(const std::string& command) {
   }
   if (command == "serve-bench") {
     return std::vector<FlagSpec>{
-        {"requests", FlagType::kInt},       {"batch", FlagType::kInt},
-        {"wait_us", FlagType::kInt},        {"cache", FlagType::kInt},
-        {"replicas", FlagType::kInt},       {"epochs", FlagType::kInt},
-        {"trace-out", FlagType::kString},   {"metrics-out", FlagType::kString}};
+        {"requests", FlagType::kInt},     {"batch", FlagType::kInt},
+        {"cache", FlagType::kInt},        {"replicas", FlagType::kInt},
+        {"epochs", FlagType::kInt},       {"trace-out", FlagType::kString},
+        {"metrics-out", FlagType::kString}};
   }
   return std::nullopt;
 }
@@ -128,7 +128,7 @@ int Usage() {
       "               [--vfm]\n"
       "  generate:    --synthetic=NAME --out_dir=DIR [--scale=F]\n"
       "  serve-bench: [--requests=N] [--batch=N] [--epochs=N] [--cache=N]\n"
-      "               [--wait_us=N] [--replicas=N]\n"
+      "               [--replicas=N]\n"
       "               [--trace-out=FILE] [--metrics-out=FILE]\n");
   return 2;
 }
@@ -321,15 +321,13 @@ int RunServeBench(const CliArgs& args) {
   const graph::GraphDataset& dataset = ds.value();
   const int requests = args.GetInt("requests", 256);
   const int batch = args.GetInt("batch", 32);
-  const int wait_us = args.GetInt("wait_us", 2000);
   const int cache = args.GetInt("cache", 1024);
   const int replicas = args.GetInt("replicas", 1);
   const std::string trace_out = args.Get("trace-out");
   const std::string metrics_out = args.Get("metrics-out");
-  if (requests < 0 || batch <= 0 || wait_us < 0 || cache < 0 ||
-      replicas <= 0) {
+  if (requests < 0 || batch <= 0 || cache < 0 || replicas <= 0) {
     std::fprintf(stderr,
-                 "serve-bench: --requests/--wait_us/--cache must be >= 0 "
+                 "serve-bench: --requests/--cache must be >= 0 "
                  "and --batch/--replicas must be > 0\n");
     return 2;
   }
@@ -351,7 +349,7 @@ int RunServeBench(const CliArgs& args) {
               dataset.name().c_str(), 100.0 * history.final_accuracy());
 
   // One shared metrics registry so --metrics-out captures the model
-  // registry's counters alongside the engine's serving metrics.
+  // registry's counters alongside the cluster's serving metrics.
   obs::MetricsRegistry metrics_registry;
   serve::ModelRegistry registry(&metrics_registry);
   if (Status s = registry.Adopt("cli", dataset, config, model); !s.ok()) {
@@ -359,31 +357,14 @@ int RunServeBench(const CliArgs& args) {
     return 1;
   }
 
-  // --replicas > 1 serves through a ServeCluster (continuous batching, no
-  // wait window — --wait_us only applies to the single-engine batcher).
-  std::unique_ptr<serve::InferenceEngine> engine;
-  std::unique_ptr<serve::ServeCluster> cluster;
-  if (replicas > 1) {
-    serve::ServeCluster::Options options;
-    options.num_replicas = static_cast<size_t>(replicas);
-    options.replica.max_batch = batch;
-    options.replica.queue_capacity = static_cast<size_t>(requests) + 16;
-    options.cache_capacity = static_cast<size_t>(cache);
-    options.metrics_registry = &metrics_registry;
-    cluster =
-        std::make_unique<serve::ServeCluster>(registry.Get("cli"), options);
-  } else {
-    serve::InferenceEngine::Options options;
-    options.batcher.max_batch = batch;
-    options.batcher.max_wait_us = wait_us;
-    options.batcher.queue_capacity = static_cast<size_t>(requests) + 16;
-    options.cache_capacity = static_cast<size_t>(cache);
-    options.metrics_registry = &metrics_registry;
-    engine =
-        std::make_unique<serve::InferenceEngine>(registry.Get("cli"), options);
-  }
-  const serve::ServeMetrics& metrics =
-      cluster ? cluster->metrics() : engine->metrics();
+  serve::ServeCluster::Options options;
+  options.num_replicas = static_cast<size_t>(replicas);
+  options.replica.max_batch = batch;
+  options.replica.queue_capacity = static_cast<size_t>(requests) + 16;
+  options.cache_capacity = static_cast<size_t>(cache);
+  options.metrics_registry = &metrics_registry;
+  serve::ServeCluster cluster(registry.Get("cli"), options);
+  const serve::ServeMetrics& metrics = cluster.metrics();
 
   // Tracing covers only the serving phase (training spans would dwarf the
   // per-request ones and blow the event cap on long runs).
@@ -396,7 +377,7 @@ int RunServeBench(const CliArgs& args) {
   futures.reserve(static_cast<size_t>(requests));
   for (int i = 0; i < requests; ++i) {
     const graph::Graph& g = dataset.graph(i % dataset.size());
-    futures.push_back(cluster ? cluster->Submit(g) : engine->Submit(g));
+    futures.push_back(cluster.Submit(g));
   }
   int errors = 0;
   for (auto& f : futures) {
@@ -430,13 +411,13 @@ int RunServeBench(const CliArgs& args) {
   std::printf("served %d requests in %.3f s (%.1f graphs/sec, %d errors)\n\n",
               requests, elapsed, requests / elapsed, errors);
   metrics.Print(std::cout);
-  if (cluster != nullptr) {
-    const serve::ClusterMetrics& cm = cluster->cluster_metrics();
-    std::printf("cluster: %d replicas, %zu dispatched, %zu steals "
-                "(%zu requests), %zu continuous admits\n",
-                replicas, cm.dispatched(), cm.steals(), cm.stolen_requests(),
-                cm.continuous_admits());
-  }
+  const serve::ClusterMetrics& cm = cluster.cluster_metrics();
+  std::printf("cluster: %d replicas, %lld dispatched, %lld steals "
+              "(%lld requests), %lld continuous admits\n",
+              replicas, static_cast<long long>(cm.dispatched()),
+              static_cast<long long>(cm.steals()),
+              static_cast<long long>(cm.stolen_requests()),
+              static_cast<long long>(cm.continuous_admits()));
   return errors == 0 ? 0 : 1;
 }
 
