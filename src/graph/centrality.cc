@@ -6,7 +6,6 @@
 
 #include "common/check.h"
 #include "graph/algorithms.h"
-#include "graph/ordered_adjacency.h"
 
 namespace deepmap::graph {
 
@@ -18,12 +17,6 @@ std::vector<double> EigenvectorCentrality(const Graph& g,
     // Adjacency matrix is zero: every vertex is equally (un)central.
     return std::vector<double>(n, 1.0 / std::sqrt(static_cast<double>(n)));
   }
-
-  // One flat adjacency in identity order: every list is ascending-id, so each
-  // vertex's sum below adds self first, then its neighbours by ascending id.
-  std::vector<Vertex> identity(static_cast<size_t>(n));
-  std::iota(identity.begin(), identity.end(), 0);
-  const OrderedAdjacency adjacency(g, identity);
 
   // The iteration must be normalized PER CONNECTED COMPONENT. Under a single
   // global normalization every component whose spectral radius is below the
@@ -42,66 +35,101 @@ std::vector<double> EigenvectorCentrality(const Graph& g,
     ++size[component[v]];
     if (g.Degree(v) > 0) active[component[v]] = 1;
   }
-  int num_active = 0;
-  for (char a : active) num_active += a;
 
-  std::vector<double> x(n, 0.0);
-  std::vector<double> norm(num_components);
-  for (Vertex v = 0; v < n; ++v) {
-    if (active[component[v]]) {
-      x[v] = 1.0 / std::sqrt(static_cast<double>(size[component[v]]));
-    }
+  // Lay the active vertices out component by component. Within a component
+  // positions ascend with vertex id, so each component's norm below
+  // accumulates in ascending vertex order and every neighbour list stays
+  // ascending-id.
+  struct Range {
+    int32_t begin, end;
+    double uniform;  // the component's start and restart value
+  };
+  std::vector<Range> ranges;
+  std::vector<int32_t> start(num_components, 0);  // next free position
+  int32_t active_vertices = 0;
+  for (int c = 0; c < num_components; ++c) {
+    if (!active[c]) continue;
+    start[c] = active_vertices;
+    active_vertices += size[c];
+    ranges.push_back({start[c], active_vertices,
+                      1.0 / std::sqrt(static_cast<double>(size[c]))});
   }
-  std::vector<double> next(n, 0.0);
+  std::vector<int32_t> position(static_cast<size_t>(n), -1);
+  std::vector<Vertex> vertex_at(static_cast<size_t>(active_vertices));
+  for (Vertex v = 0; v < n; ++v) {
+    const int c = component[v];
+    if (!active[c]) continue;
+    position[v] = start[c]++;
+    vertex_at[position[v]] = v;
+  }
+
+  // CSR over positions. Graph keeps every neighbour list ascending by id,
+  // and a component's positions ascend with id, so the lists stay ascending.
+  std::vector<int32_t> offsets;
+  offsets.reserve(static_cast<size_t>(active_vertices) + 1);
+  offsets.push_back(0);
+  std::vector<int32_t> neighbors;
+  neighbors.reserve(2 * static_cast<size_t>(g.NumEdges()));
+  for (Vertex v : vertex_at) {
+    for (Vertex u : g.Neighbors(v)) neighbors.push_back(position[u]);
+    offsets.push_back(static_cast<int32_t>(neighbors.size()));
+  }
+
+  std::vector<double> x(static_cast<size_t>(active_vertices));
+  std::vector<double> next(static_cast<size_t>(active_vertices));
+  for (const Range& range : ranges) {
+    std::fill(x.begin() + range.begin, x.begin() + range.end, range.uniform);
+  }
+  const double tol = options.tolerance;
   for (int iter = 0; iter < options.max_iterations; ++iter) {
     // Iterate on A + I: same eigenvectors as A, but the top eigenvalue is
     // strictly dominant in magnitude, so the iteration also converges on
     // bipartite graphs (where A's spectrum is symmetric and plain power
-    // iteration oscillates with period two). Each component's squared norm
+    // iteration oscillates with period two). Each vertex sums itself first,
+    // then its neighbours by ascending id; its component's squared norm
     // accumulates in the same pass, in ascending vertex order.
-    std::fill(norm.begin(), norm.end(), 0.0);
-    for (Vertex v = 0; v < n; ++v) {
-      double sum = x[v];
-      for (Vertex u : adjacency.Neighbors(v)) sum += x[u];
-      next[v] = sum;
-      norm[component[v]] += sum * sum;
-    }
     bool renormalized = false;
-    for (int c = 0; c < num_components; ++c) {
-      if (!active[c]) continue;
-      if (norm[c] > 0.0) {
-        norm[c] = std::sqrt(norm[c]);
+    bool moved = false;
+    for (const Range& range : ranges) {
+      double norm = 0.0;
+      for (int32_t p = range.begin; p < range.end; ++p) {
+        double sum = x[p];
+        for (int32_t k = offsets[p]; k < offsets[p + 1]; ++k) {
+          sum += x[neighbors[k]];
+        }
+        next[p] = sum;
+        norm += sum * sum;
+      }
+      if (norm > 0.0) {
+        norm = std::sqrt(norm);
+        for (int32_t p = range.begin; p < range.end; ++p) {
+          next[p] = next[p] / norm;
+          moved |= std::fabs(next[p] - x[p]) >= tol;
+        }
       } else {
         // Unreachable from the positive start above (A+I maps positive
         // vectors to positive vectors), but if a caller-visible zero ever
-        // appears, restart that component from uniform instead of letting
-        // the old global `break` freeze a half-converged vector.
+        // appears, restart that component from uniform instead of freezing
+        // a half-converged vector.
         renormalized = true;
+        std::fill(next.begin() + range.begin, next.begin() + range.end,
+                  range.uniform);
       }
     }
-    double delta = 0.0;
-    for (Vertex v = 0; v < n; ++v) {
-      const int c = component[v];
-      if (!active[c]) continue;
-      next[v] = norm[c] > 0.0
-                    ? next[v] / norm[c]
-                    : 1.0 / std::sqrt(static_cast<double>(size[c]));
-      delta = std::max(delta, std::fabs(next[v] - x[v]));
-    }
     x.swap(next);
-    if (!renormalized && delta < options.tolerance) break;
+    // !moved is "max |next - x| < tol" over a max that starts at 0.
+    if (!renormalized && !moved && tol > 0.0) break;
   }
   // Rescale so the full vector is L2-normalized (each active component
   // currently has unit norm). With one component this is the historical
-  // behavior exactly.
-  if (num_active > 0) {
-    const double scale = 1.0 / std::sqrt(static_cast<double>(num_active));
-    for (double& value : x) value *= scale;
+  // behavior exactly. Power iteration on a nonnegative matrix from a
+  // positive start stays nonnegative; clamp tiny negative rounding noise.
+  const double scale = 1.0 / std::sqrt(static_cast<double>(ranges.size()));
+  std::vector<double> result(static_cast<size_t>(n), 0.0);
+  for (Vertex v = 0; v < n; ++v) {
+    if (position[v] >= 0) result[v] = std::max(x[position[v]] * scale, 0.0);
   }
-  // Power iteration on a nonnegative matrix from a positive start stays
-  // nonnegative; clamp tiny negative rounding noise.
-  for (double& value : x) value = std::max(value, 0.0);
-  return x;
+  return result;
 }
 
 std::vector<double> DegreeCentrality(const Graph& g) {

@@ -29,12 +29,16 @@ struct CentralityOptions {
 /// a larger spectral radius. Within-component orderings are therefore exact,
 /// and cross-component comparisons are on an equal-mass footing.
 ///
-/// Runs over one flat adjacency in identity order (graph::OrderedAdjacency),
-/// built once per call: each round sums, per vertex, itself first and then
-/// its neighbours by ascending id, accumulating its component's squared norm
-/// in the same pass and vertex order. That order, the tolerance and the
-/// iteration cap fix every output bit; a looser stop or another summation
-/// order would reorder near-ties in the alignment and change logits.
+/// Runs over one CSR of the vertices in components with edges, built once
+/// per call and laid out component by component, each component's
+/// vertices in ascending id. Each round sums, per vertex, itself first and
+/// then its neighbours by ascending id, accumulating its component's squared
+/// norm in the same pass and vertex order, then divides the component by
+/// that norm and tests convergence (every |next - x| < tolerance) in one
+/// flat pass. That order, the tolerance and the iteration cap fix every
+/// output bit (centrality.cc is built with FP contraction off); a looser
+/// stop or another summation order would reorder near-ties in the alignment
+/// and change logits.
 std::vector<double> EigenvectorCentrality(
     const Graph& g, const CentralityOptions& options = {});
 

@@ -10,6 +10,9 @@
 // (serve/sparse_input.h) that
 //   - runs Conv1 as a sum of weight columns over each receptive-field row's
 //     nonzeros, never touching a zero input,
+//   - keeps Conv1's accumulators in registers across a slot's window, and
+//     runs Conv2 and Conv3 over all live slots at once, four slots by eight
+//     channels per register tile,
 //   - routes fully-empty vertex slots through a precomputed constant
 //     activation chain (bias -> ReLU -> pointwise convs), so per-graph cost
 //     scales with the actual vertex count n instead of w,
@@ -23,7 +26,8 @@
 // order: one ascending-index chain per output, bias first for the
 // convolutions (nn::Conv1D) and last for the dense layers (nn::Dense). Conv1
 // only omits the products of zero inputs; for finite weights those are
-// +-0.0 and leave a running sum unchanged unless it is exactly -0.0. So
+// +-0.0 and leave a running sum unchanged unless it is exactly -0.0. The
+// tiles only run independent chains side by side, one per vector lane. So
 // compiled logits are bit-identical to DeepMapModel::Forward(.., false); the
 // perf_equiv and serve suites pin this. compiled_model.cc is built with
 // -ffp-contract=off (src/CMakeLists.txt) so no multiply-add is fused.
@@ -58,7 +62,7 @@ struct Prediction {
 
 /// Reusable per-thread forward-pass workspace.
 struct ForwardScratch {
-  std::vector<float> h1, h2, h3;  // per-slot conv activations
+  std::vector<float> h1, h2, h3;  // conv activations, one row per live slot
   std::vector<float> readout;     // pooled / concatenated representation
   std::vector<float> hidden;      // dense hidden activations
   std::vector<float> logits;      // final class scores
@@ -108,10 +112,10 @@ class CompiledModel {
   int readout_dim_ = 0;
   core::ReadoutKind readout_ = core::ReadoutKind::kSum;
 
-  // conv1 column-major [r*m, c1], so one input column's weights for every
-  // output channel are contiguous; the rest row-major in their training
-  // layouts: conv2 [c2, c1], conv3 [c3, c2], dense1 [dense, readout_dim],
-  // dense2 [C, dense].
+  // Every weight matrix column-major (the transpose of its training layout),
+  // so one input column's weights for every output are contiguous and the
+  // kernels run adjacent outputs in vector lanes: conv1 [r*m, c1], conv2
+  // [c1, c2], conv3 [c2, c3], dense1 [readout_dim, dense], dense2 [dense, C].
   std::vector<float> conv1_w_, conv2_w_, conv3_w_, dense1_w_, dense2_w_;
   std::vector<float> conv1_b_, conv2_b_, conv3_b_, dense1_b_, dense2_b_;
 

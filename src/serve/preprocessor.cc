@@ -9,6 +9,7 @@
 #include "kernels/graphlet.h"
 #include "kernels/shortest_path.h"
 #include "kernels/treepp.h"
+#include "obs/trace.h"
 
 namespace deepmap::serve {
 
@@ -150,8 +151,11 @@ StatusOr<SparseInput> Preprocessor::PreprocessSparse(const graph::Graph& g) {
   if (config_.alignment == core::AlignmentMeasure::kRandom) {
     alignment_rng = &local_rng;
   }
-  const std::vector<double> centrality =
-      core::ComputeCentrality(g, config_.alignment, alignment_rng);
+  std::vector<double> centrality;
+  {
+    DEEPMAP_TRACE_SPAN("core.centrality", "serve");
+    centrality = core::ComputeCentrality(g, config_.alignment, alignment_rng);
+  }
   const std::vector<graph::Vertex> sequence =
       core::GenerateVertexSequence(g, centrality, sequence_length_);
 

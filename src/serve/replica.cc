@@ -48,6 +48,7 @@ BatchPipeline::BatchPipeline(ServableHandle* servable, ThreadPool* pool,
   DEEPMAP_CHECK(servable_ != nullptr);
   DEEPMAP_CHECK(pool_ != nullptr);
   DEEPMAP_CHECK(metrics_ != nullptr);
+  forward_scratch_.resize(std::max<size_t>(pool_->num_threads(), 1));
 }
 
 void BatchPipeline::Begin(State* state, std::vector<ServeRequest>&& batch,
@@ -130,8 +131,8 @@ void BatchPipeline::Forward(State* state) {
   (void)DEEPMAP_FAILPOINT_TRIGGERED("serve.engine.before_forward");
 
   // Batched forward pass over requests that survived preprocessing and
-  // still have time left, sharded across the pool. Each shard reuses one
-  // scratch workspace for its whole slice.
+  // still have time left, sharded across the pool. Shard k reuses the
+  // pipeline's k-th scratch workspace for its whole slice.
   const size_t n = state->batch.size();
   std::vector<size_t> valid;
   valid.reserve(n);
@@ -146,16 +147,15 @@ void BatchPipeline::Forward(State* state) {
   }
   if (valid.empty()) return;
   const CompiledModel& compiled = state->model->compiled();
-  const size_t num_shards =
-      std::min(std::max<size_t>(pool_->num_threads(), 1), valid.size());
+  const size_t num_shards = std::min(forward_scratch_.size(), valid.size());
   const size_t per_shard = (valid.size() + num_shards - 1) / num_shards;
   for (size_t shard = 0; shard < num_shards; ++shard) {
     const size_t begin = shard * per_shard;
     const size_t end = std::min(valid.size(), begin + per_shard);
     if (begin >= end) break;
-    pool_->Submit([this, state, &valid, &compiled, begin, end] {
+    ForwardScratch* scratch = &forward_scratch_[shard];
+    pool_->Submit([state, &valid, &compiled, begin, end, scratch] {
       DEEPMAP_TRACE_SPAN("serve.forward", "serve");
-      ForwardScratch scratch;
       for (size_t v = begin; v < end; ++v) {
         const size_t i = valid[v];
         if (DEEPMAP_FAILPOINT_TRIGGERED("serve.forward")) {
@@ -164,7 +164,7 @@ void BatchPipeline::Forward(State* state) {
           continue;
         }
         const auto t0 = std::chrono::steady_clock::now();
-        state->predictions[i] = compiled.Predict(state->inputs[i], &scratch);
+        state->predictions[i] = compiled.Predict(state->inputs[i], scratch);
         state->forward_us[i] =
             MicrosSince(t0, std::chrono::steady_clock::now());
       }

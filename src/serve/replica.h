@@ -12,7 +12,8 @@
 //   Admit       continuous batching: append newly arrived requests to the
 //               in-flight batch (another Preprocess covers just them)
 //   Forward     batched compiled forward over survivors, sharded, one
-//               scratch per shard ("serve.forward" fault applies per item)
+//               kept scratch per shard ("serve.forward" fault applies per
+//               item)
 //   Complete    fulfill every promise exactly once (degrading model-path
 //               failures when enabled), warm the cache, record metrics
 //
@@ -93,8 +94,9 @@ using RequestCompleteFn = std::function<void(const ServeRequest& request)>;
 
 /// Staged execution of one batch of requests against the current servable
 /// of a ServableHandle. Thread-compatible: one State is owned by one
-/// thread; the pipeline object itself holds no per-batch state and may back
-/// any number of sequential batches.
+/// thread; the pipeline object itself holds no per-batch state (only the
+/// forward workspaces it reuses) and may back any number of sequential
+/// batches.
 class BatchPipeline {
  public:
   /// All pointers must outlive the pipeline. `cache` may be null (caching
@@ -138,6 +140,9 @@ class BatchPipeline {
   ServeMetrics* metrics_;
   bool enable_degraded_;
   RequestCompleteFn on_complete_;
+  /// One forward workspace per shard (at most one shard per pool thread),
+  /// kept for the pipeline's lifetime so a batch allocates none.
+  std::vector<ForwardScratch> forward_scratch_;
 };
 
 /// Dispatchability of one replica. Anything but kHealthy is skipped by

@@ -6,7 +6,8 @@
 //   - the sparse forward pass (PreprocessSparse -> CompiledModel) and the
 //     dense adapter (Preprocess -> CompiledModel) give the same logit bytes
 //     as the training stack (DeepMapModel::Forward) for every feature-map
-//     kind and readout;
+//     kind and readout, at channel widths that reach every tile edge of the
+//     forward kernels;
 //   - graphlet preprocessing is a pure function of the request graph:
 //     request order and concurrent submitters do not change any logit.
 #include <gtest/gtest.h>
@@ -194,20 +195,27 @@ struct KindReadout {
   core::ReadoutKind readout;
 };
 
-class SparseForwardTest : public ::testing::TestWithParam<KindReadout> {};
+/// Conv1/Conv2/Conv3 output channels of the trained network.
+struct ChannelWidths {
+  int c1, c2, c3;
+};
 
-TEST_P(SparseForwardTest, LogitsByteEqualDenseForEveryBackend) {
+/// Trains a small network of the given kind, readout and widths, and
+/// byte-compares the compiled model's logits (sparse input and dense
+/// adapter) against the training stack's on every reference graph plus one
+/// padded with isolated vertices.
+void ExpectLogitsByteEqualDense(KindReadout param, ChannelWidths widths) {
   const graph::GraphDataset dataset = Synthetic("PTC_MM", 16);
   core::DeepMapConfig config;
-  config.features.kind = GetParam().kind;
+  config.features.kind = param.kind;
   config.features.wl.iterations = 2;
   config.features.graphlet.k = 3;
   config.features.graphlet.samples_per_vertex = 4;
   config.features.max_dense_dim = 32;
-  config.readout = GetParam().readout;
-  config.conv1_channels = 8;
-  config.conv2_channels = 6;
-  config.conv3_channels = 4;
+  config.readout = param.readout;
+  config.conv1_channels = widths.c1;
+  config.conv2_channels = widths.c2;
+  config.conv3_channels = widths.c3;
   config.dense_units = 12;
   config.train.epochs = 1;
   config.train.batch_size = 8;
@@ -255,6 +263,12 @@ TEST_P(SparseForwardTest, LogitsByteEqualDenseForEveryBackend) {
   }
 }
 
+class SparseForwardTest : public ::testing::TestWithParam<KindReadout> {};
+
+TEST_P(SparseForwardTest, LogitsByteEqualDenseForEveryBackend) {
+  ExpectLogitsByteEqualDense(GetParam(), {8, 6, 4});
+}
+
 std::vector<KindReadout> AllKindsAndReadouts() {
   std::vector<KindReadout> params;
   for (FeatureMapKind kind :
@@ -278,6 +292,51 @@ std::string KindReadoutName(const ::testing::TestParamInfo<KindReadout>& info) {
 INSTANTIATE_TEST_SUITE_P(KindsAndReadouts, SparseForwardTest,
                          ::testing::ValuesIn(AllKindsAndReadouts()),
                          KindReadoutName);
+
+// The same comparison at widths that reach every edge of the forward
+// kernels: Conv2/Conv3 run four-slot by eight-channel tiles plus a one-slot
+// tile for the slot tail and scalar chains for the channel tail, Conv1
+// sixteen-channel blocks plus scalar chains, the dense head eight-output
+// blocks plus scalar chains. 32/16/8 (the default network) is all full
+// tiles; 12/10/9 leaves a channel tail in both pointwise convs and runs
+// Conv1 as scalar chains only; 21/12/9 runs a Conv1 block followed by a
+// scalar tail in the same slot. The isolated-vertex graph makes the
+// live-slot counts include ones that are not a multiple of four.
+struct KindReadoutWidths {
+  KindReadout kind_readout;
+  ChannelWidths widths;
+};
+
+class SparseForwardTileTest
+    : public ::testing::TestWithParam<KindReadoutWidths> {};
+
+TEST_P(SparseForwardTileTest, LogitsByteEqualDenseAtTileEdges) {
+  ExpectLogitsByteEqualDense(GetParam().kind_readout, GetParam().widths);
+}
+
+std::vector<KindReadoutWidths> AllKindsReadoutsAndTileWidths() {
+  std::vector<KindReadoutWidths> params;
+  for (const ChannelWidths& widths :
+       {ChannelWidths{32, 16, 8}, ChannelWidths{12, 10, 9},
+        ChannelWidths{21, 12, 9}}) {
+    for (const KindReadout& kind_readout : AllKindsAndReadouts()) {
+      params.push_back({kind_readout, widths});
+    }
+  }
+  return params;
+}
+
+std::string KindReadoutWidthsName(
+    const ::testing::TestParamInfo<KindReadoutWidths>& info) {
+  const KindReadoutWidths& p = info.param;
+  return KindReadoutName({p.kind_readout, info.index}) + "_" +
+         std::to_string(p.widths.c1) + "x" + std::to_string(p.widths.c2) +
+         "x" + std::to_string(p.widths.c3);
+}
+
+INSTANTIATE_TEST_SUITE_P(TileWidths, SparseForwardTileTest,
+                         ::testing::ValuesIn(AllKindsReadoutsAndTileWidths()),
+                         KindReadoutWidthsName);
 
 // ---------------------------------------------------------------------------
 // Graphlet preprocessing is a pure function of the graph

@@ -220,24 +220,37 @@ TEST(SupervisorTest, CrashedReplicaIsDetectedByBackgroundWatchdog) {
   FailPointGuard guard;
   ServeCluster::Options options = UncachedClusterOptions(2);
   options.replica.enable_work_stealing = false;
+  // The parked bait's batch must not absorb the requests queued behind it.
+  options.replica.continuous_batching = false;
   options.supervision = FastSupervision();
   ServeCluster cluster(b.servable, options);
 
+  // Park replica 0 mid-batch on a bait request, so both requests below are
+  // queued before its next pop, whichever moment the watchdog recovers at:
+  // that pop crashes and takes (or strands) exactly those two.
+  DispatchGate gate;
+  FailPointSpec park = FailPointSpec::Once();
+  park.on_trigger = [&gate] { gate.Park(); };
+  FailPointRegistry::Instance().Enable("serve.cluster.batch", park);
+  std::vector<std::future<StatusOr<Prediction>>> futures;
+  futures.push_back(
+      cluster.SubmitToReplica(0, b.dataset.graph(0), RequestOptions{}));
+  gate.AwaitParked();
+
   FailPointRegistry::Instance().Enable("serve.replica.crash",
                                        FailPointSpec::Once());
-
-  std::vector<std::future<StatusOr<Prediction>>> futures;
-  for (int i = 0; i < 3; ++i) {
+  for (int i = 1; i < 3; ++i) {
     futures.push_back(
         cluster.SubmitToReplica(0, b.dataset.graph(i), RequestOptions{}));
   }
+  gate.Open();
   for (auto& f : futures) {
     StatusOr<Prediction> r = MustResolve(f);
     ASSERT_TRUE(r.ok()) << r.status().ToString();
   }
   EXPECT_EQ(cluster.health_metrics().crashes(), 1);
   EXPECT_EQ(cluster.health_metrics().hangs(), 0);
-  EXPECT_EQ(cluster.health_metrics().redispatched(), 3);
+  EXPECT_EQ(cluster.health_metrics().redispatched(), 2);
 
   ASSERT_TRUE(PollUntil(
       [&] { return cluster.health_metrics().restarts() >= 1; }));
