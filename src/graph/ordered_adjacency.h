@@ -1,9 +1,10 @@
 // Flat adjacency of a Graph whose neighbour lists follow a given vertex
-// order. The serve-path preprocessing stages (WL refinement, eigenvector
-// centrality, receptive fields) each walk every neighbour list many times;
-// one contiguous array of lists is cheaper to walk than a vector per vertex,
-// and choosing the order of the lists lets a stage read them pre-sorted by
-// the key it needs instead of sorting per vertex.
+// order. The receptive fields walk every neighbour list of a request graph
+// in the order of the vertex sequence; one contiguous array of lists is
+// cheaper to walk than a vector per vertex, and laying the lists out in that
+// order lets each field read them pre-sorted instead of sorting per vertex.
+// (WL refinement scatters colours into signature blocks of its own, and the
+// eigenvector centrality builds a CSR laid out by component.)
 #ifndef DEEPMAP_GRAPH_ORDERED_ADJACENCY_H_
 #define DEEPMAP_GRAPH_ORDERED_ADJACENCY_H_
 

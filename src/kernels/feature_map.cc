@@ -48,10 +48,12 @@ SparseFeatureMap SumFeatureMaps(const std::vector<SparseFeatureMap>& maps) {
   return sum;
 }
 
+void Vocabulary::Add(FeatureId id) {
+  columns_.try_emplace(id, static_cast<int64_t>(columns_.size()));
+}
+
 void Vocabulary::AddAll(const SparseFeatureMap& map) {
-  for (const auto& [id, count] : map.entries()) {
-    columns_.try_emplace(id, static_cast<int64_t>(columns_.size()));
-  }
+  for (const auto& [id, count] : map.entries()) Add(id);
 }
 
 int64_t Vocabulary::ColumnOf(FeatureId id) const {

@@ -64,6 +64,9 @@ class Vocabulary {
  public:
   Vocabulary() = default;
 
+  /// Registers `id` as the next column unless it is already known.
+  void Add(FeatureId id);
+
   /// Registers every id in `map`.
   void AddAll(const SparseFeatureMap& map);
 

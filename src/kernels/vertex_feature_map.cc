@@ -1,5 +1,6 @@
 #include "kernels/vertex_feature_map.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/check.h"
@@ -21,13 +22,33 @@ std::string FeatureMapKindName(FeatureMapKind kind) {
   return "?";
 }
 
+VertexRows VertexRows::Of(
+    const std::vector<std::vector<SparseFeatureMap>>& maps) {
+  VertexRows rows;
+  for (const auto& per_graph : maps) {
+    for (const SparseFeatureMap& map : per_graph) {
+      rows.entries.insert(rows.entries.end(), map.entries().begin(),
+                          map.entries().end());
+      rows.EndRow();
+    }
+  }
+  return rows;
+}
+
 DatasetVertexFeatures::DatasetVertexFeatures(
     std::vector<std::vector<SparseFeatureMap>> features, int max_dense_dim,
     bool log_scale_dense, bool normalize_dense)
-    : features_(std::move(features)), log_scale_dense_(log_scale_dense) {
-  for (const auto& per_graph : features_) {
-    for (const SparseFeatureMap& map : per_graph) vocabulary_.AddAll(map);
-  }
+    : DatasetVertexFeatures(VertexRows::Of(features), max_dense_dim,
+                            log_scale_dense, normalize_dense) {
+  features_ = std::move(features);
+}
+
+DatasetVertexFeatures::DatasetVertexFeatures(const VertexRows& rows,
+                                             int max_dense_dim,
+                                             bool log_scale_dense,
+                                             bool normalize_dense)
+    : log_scale_dense_(log_scale_dense) {
+  for (const auto& [id, count] : rows.entries) vocabulary_.Add(id);
   dim_ = static_cast<int>(vocabulary_.size());
   if (max_dense_dim > 0 && dim_ > max_dense_dim) {
     dim_ = max_dense_dim;
@@ -37,16 +58,20 @@ DatasetVertexFeatures::DatasetVertexFeatures(
   if (normalize_dense) {
     // Per-column inverse RMS over all vertex rows (after log scaling).
     std::vector<double> sum_squares(static_cast<size_t>(dim_), 0.0);
-    int64_t num_rows = 0;
-    for (size_t g = 0; g < features_.size(); ++g) {
-      for (size_t v = 0; v < features_[g].size(); ++v) {
-        // Zero columns would add +0.0 to a nonnegative sum: skipping them
-        // leaves every sum bit-identical.
-        for (const RowEntry& e : SparseRow(features_[g][v])) {
-          sum_squares[static_cast<size_t>(e.col)] += e.value * e.value;
-        }
-        ++num_rows;
+    const auto num_rows = static_cast<int64_t>(rows.ends.size());
+    std::vector<RowEntry> row;
+    size_t begin = 0;
+    for (const size_t end : rows.ends) {
+      row.resize(std::max(row.size(), end - begin));
+      const size_t nonzeros =
+          SparseRowInto(rows.entries.data() + begin, end - begin, row.data());
+      // Zero columns would add +0.0 to a nonnegative sum: skipping them
+      // leaves every sum bit-identical.
+      for (size_t i = 0; i < nonzeros; ++i) {
+        sum_squares[static_cast<size_t>(row[i].col)] +=
+            row[i].value * row[i].value;
       }
+      begin = end;
     }
     // Soft normalization: 1/sqrt(rms_c^2 + mean_rms^2). Frequent columns are
     // scaled toward unit RMS while rare (often noisy) columns are boosted at
@@ -139,7 +164,7 @@ SparseFeatureMap DatasetVertexFeatures::GraphFeatureMap(int g) const {
   return SumFeatureMaps(features_[g]);
 }
 
-DatasetVertexFeatures ComputeDatasetVertexFeatures(
+std::vector<std::vector<SparseFeatureMap>> ComputeDatasetVertexMaps(
     const graph::GraphDataset& dataset, const VertexFeatureConfig& config) {
   const size_t n = static_cast<size_t>(dataset.size());
   std::vector<std::vector<SparseFeatureMap>> features(n);
@@ -178,8 +203,13 @@ DatasetVertexFeatures ComputeDatasetVertexFeatures(
       break;
     }
   }
-  return DatasetVertexFeatures(std::move(features), config.max_dense_dim,
-                               config.log_scale_dense,
+  return features;
+}
+
+DatasetVertexFeatures ComputeDatasetVertexFeatures(
+    const graph::GraphDataset& dataset, const VertexFeatureConfig& config) {
+  return DatasetVertexFeatures(ComputeDatasetVertexMaps(dataset, config),
+                               config.max_dense_dim, config.log_scale_dense,
                                config.normalize_dense);
 }
 

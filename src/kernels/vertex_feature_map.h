@@ -64,12 +64,32 @@ struct RowEntry {
   double value = 0.0;
 };
 
+/// Every vertex's (id, count) entries in one array, graph by graph and
+/// vertex by vertex, each row by ascending id: the per-vertex maps without
+/// a node per entry.
+struct VertexRows {
+  std::vector<std::pair<FeatureId, double>> entries;
+  /// Row i is entries[i == 0 ? 0 : ends[i - 1], ends[i]).
+  std::vector<size_t> ends;
+
+  void EndRow() { ends.push_back(entries.size()); }
+
+  /// The rows of maps[g][v], in that order.
+  static VertexRows Of(const std::vector<std::vector<SparseFeatureMap>>& maps);
+};
+
 /// Vertex feature maps for a whole dataset plus the densification scheme.
 class DatasetVertexFeatures {
  public:
   DatasetVertexFeatures(std::vector<std::vector<SparseFeatureMap>> features,
                         int max_dense_dim, bool log_scale_dense = true,
                         bool normalize_dense = true);
+
+  /// The densification scheme of `rows` alone, the same as that of their
+  /// maps; all() is empty, so Get, DenseRow and GraphFeatureMap have no
+  /// graph to read. Serving needs only the scheme.
+  DatasetVertexFeatures(const VertexRows& rows, int max_dense_dim,
+                        bool log_scale_dense, bool normalize_dense);
 
   /// Sparse map of vertex v in graph g.
   const SparseFeatureMap& Get(int g, int v) const;
@@ -129,7 +149,11 @@ class DatasetVertexFeatures {
   std::vector<double> column_scale_;
 };
 
-/// Computes per-vertex feature maps for every graph in `dataset`.
+/// Per-vertex feature maps of every graph in `dataset`: result[g][v].
+std::vector<std::vector<SparseFeatureMap>> ComputeDatasetVertexMaps(
+    const graph::GraphDataset& dataset, const VertexFeatureConfig& config);
+
+/// ComputeDatasetVertexMaps with their densification scheme.
 DatasetVertexFeatures ComputeDatasetVertexFeatures(
     const graph::GraphDataset& dataset, const VertexFeatureConfig& config);
 

@@ -1,13 +1,13 @@
 #include "kernels/wl.h"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
+#include <cstring>
 #include <memory>
-#include <numeric>
 #include <random>
 
 #include "common/check.h"
-#include "graph/ordered_adjacency.h"
 
 namespace deepmap::kernels {
 namespace {
@@ -35,58 +35,82 @@ uint64_t FoldedMultiply(uint64_t a, uint64_t b) {
          static_cast<uint64_t>(product >> 64);
 }
 
-/// int64_t per arena block. A signature is a vertex's color and its
+/// Colors i and i + 1 of a signature as one word.
+uint64_t TwoColors(const uint32_t* colors) {
+  uint64_t word;
+  std::memcpy(&word, colors, sizeof word);
+  return word;
+}
+
+/// uint32_t per arena block. A signature is a vertex's color and its
 /// neighbors', so only a vertex of degree >= 8192 needs a block of its own.
 constexpr size_t kBlockSize = 8192;
 constexpr size_t kInitialSlots = 16;  // a power of two
+constexpr uint64_t kTagMask = ~uint64_t{0} << 32;
 
 }  // namespace
 
 WlRefinement::Dictionary::Dictionary(uint64_t seed)
     : seed_(seed), slots_(kInitialSlots, kEmptySlot) {}
 
-uint64_t WlRefinement::Dictionary::Hash(const int64_t* signature,
-                                        size_t length) const {
-  const uint64_t multiplier = seed_ | 1;
-  uint64_t h = seed_ ^ length;
-  for (size_t i = 0; i < length; ++i) {
-    h = FoldedMultiply(h ^ static_cast<uint64_t>(signature[i]), multiplier);
+uint64_t WlRefinement::SignatureHash(const uint32_t* signature,
+                                     uint32_t length, uint64_t seed) {
+  const uint64_t multiplier = seed | 1;
+  // Two independent chains, so their multiplies overlap: lane a takes
+  // colors 4j and 4j + 1, lane b colors 4j + 2 and 4j + 3.
+  uint64_t a = seed ^ length;
+  uint64_t b = seed;
+  uint32_t i = 0;
+  for (; i + 4 <= length; i += 4) {
+    a = FoldedMultiply(a ^ TwoColors(signature + i), multiplier);
+    b = FoldedMultiply(b ^ TwoColors(signature + i + 2), multiplier);
   }
-  return h;
+  if (length - i >= 2) {
+    a = FoldedMultiply(a ^ TwoColors(signature + i), multiplier);
+    i += 2;
+  }
+  if (i < length) b = FoldedMultiply(b ^ signature[i], multiplier);
+  // Rotated, so that lanes equal for some crafted signature do not cancel
+  // to a seed-independent value.
+  return FoldedMultiply(a ^ std::rotl(b, 32), multiplier);
 }
 
-int64_t WlRefinement::Dictionary::FindOrInsert(const int64_t* signature,
-                                               size_t length) {
-  const uint64_t hash = Hash(signature, length);
+uint32_t WlRefinement::Dictionary::FindOrInsert(const uint32_t* signature,
+                                                uint32_t length) {
+  const uint64_t hash = SignatureHash(signature, length, seed_);
+  const uint64_t tag = hash & kTagMask;
+  const auto hash_lo = static_cast<uint32_t>(hash);
   const size_t mask = slots_.size() - 1;
   size_t slot = hash & mask;
   for (; slots_[slot] != kEmptySlot; slot = (slot + 1) & mask) {
-    const uint32_t index = slots_[slot];
+    if ((slots_[slot] & kTagMask) != tag) continue;
+    const auto index = static_cast<uint32_t>(slots_[slot]);
     const Entry& entry = entries_[index];
-    if (entry.hash == hash && entry.length == length &&
+    if (entry.hash_lo == hash_lo && entry.length == length &&
         std::equal(signature, signature + length, entry.key)) {
       return index;
     }
   }
   // A new signature: the next entry, and so the next color id.
-  DEEPMAP_CHECK_LT(entries_.size(), size_t{kEmptySlot});
+  DEEPMAP_CHECK_LT(entries_.size(), size_t{~uint32_t{0}});
   const auto index = static_cast<uint32_t>(entries_.size());
-  entries_.push_back({hash, Store(signature, length), length});
-  slots_[slot] = index;
+  entries_.push_back({Store(signature, length), length, hash_lo});
+  slots_[slot] = tag | index;
   if (2 * entries_.size() > slots_.size()) Grow();
   return index;
 }
 
-const int64_t* WlRefinement::Dictionary::Store(const int64_t* signature,
-                                               size_t length) {
-  int64_t* copy;
+const uint32_t* WlRefinement::Dictionary::Store(const uint32_t* signature,
+                                                uint32_t length) {
+  uint32_t* copy;
   if (length > kBlockSize) {
     // Its own block; the current block keeps its free tail.
-    blocks_.push_back(std::make_unique_for_overwrite<int64_t[]>(length));
+    blocks_.push_back(std::make_unique_for_overwrite<uint32_t[]>(length));
     copy = blocks_.back().get();
   } else {
     if (length > block_free_) {
-      blocks_.push_back(std::make_unique_for_overwrite<int64_t[]>(kBlockSize));
+      blocks_.push_back(
+          std::make_unique_for_overwrite<uint32_t[]>(kBlockSize));
       block_next_ = blocks_.back().get();
       block_free_ = kBlockSize;
     }
@@ -99,52 +123,77 @@ const int64_t* WlRefinement::Dictionary::Store(const int64_t* signature,
 }
 
 void WlRefinement::Dictionary::Grow() {
-  std::vector<uint32_t> slots(2 * slots_.size(), kEmptySlot);
+  std::vector<uint64_t> slots(2 * slots_.size(), kEmptySlot);
   const size_t mask = slots.size() - 1;
-  for (size_t index = 0; index < entries_.size(); ++index) {
-    size_t slot = entries_[index].hash & mask;
+  for (const uint64_t tagged : slots_) {
+    if (tagged == kEmptySlot) continue;
+    const uint64_t hash =
+        (tagged & kTagMask) | entries_[static_cast<uint32_t>(tagged)].hash_lo;
+    size_t slot = hash & mask;
     while (slots[slot] != kEmptySlot) slot = (slot + 1) & mask;
-    slots[slot] = static_cast<uint32_t>(index);
+    slots[slot] = tagged;
   }
   slots_.swap(slots);
 }
 
-WlRefinement::WlRefinement(const WlConfig& config) : config_(config) {
+WlRefinement::WlRefinement(const WlConfig& config)
+    : WlRefinement(config, ProcessHashSeed()) {}
+
+WlRefinement::WlRefinement(const WlConfig& config, uint64_t hash_seed)
+    : config_(config) {
   DEEPMAP_CHECK_GE(config.iterations, 0);
   dictionaries_.reserve(static_cast<size_t>(config.iterations));
   for (int h = 0; h < config.iterations; ++h) {
-    dictionaries_.emplace_back(ProcessHashSeed());
+    dictionaries_.emplace_back(hash_seed);
   }
 }
 
 std::vector<std::vector<int64_t>> WlRefinement::Refine(const graph::Graph& g) {
-  const int n = g.NumVertices();
+  const auto n = static_cast<size_t>(g.NumVertices());
   std::vector<std::vector<int64_t>> colors(config_.iterations + 1);
   colors[0].resize(n);
-  for (graph::Vertex v = 0; v < n; ++v) colors[0][v] = g.GetLabel(v);
-  std::vector<graph::Vertex> by_color(static_cast<size_t>(n));
-  // One reusable signature buffer: the dictionary copies it into its arena
-  // only on a miss (a new color).
-  std::vector<int64_t> signature;
+  // The previous round's colors. Labels are int32 and ids uint32, so 32
+  // bits hold both exactly; a negative label only sorts differently, which
+  // changes no id (equal multisets still give equal sorted blocks).
+  std::vector<uint32_t> prev(n);
+  for (size_t v = 0; v < n; ++v) {
+    const graph::Label label = g.GetLabel(static_cast<graph::Vertex>(v));
+    colors[0][v] = label;
+    prev[v] = static_cast<uint32_t>(label);
+  }
+  if (config_.iterations == 0) return colors;
+  // Vertex v's signature is signatures[offset[v], offset[v + 1]): its own
+  // color, then its neighbors' in ascending order.
+  std::vector<size_t> offset(n + 1);
+  for (size_t v = 0; v < n; ++v) {
+    offset[v + 1] =
+        offset[v] + 1 + g.Neighbors(static_cast<graph::Vertex>(v)).size();
+  }
+  std::vector<uint32_t> signatures(offset[n]);
+  std::vector<size_t> cursor(n);
+  std::vector<uint64_t> by_color(n);  // color << 32 | vertex
   for (int h = 1; h <= config_.iterations; ++h) {
-    const std::vector<int64_t>& prev = colors[h - 1];
     auto& dict = dictionaries_[h - 1];
-    colors[h].resize(n);
-    // Neighbor lists ordered by previous color: each signature is then
-    // sorted as it is read off.
-    std::iota(by_color.begin(), by_color.end(), 0);
-    std::sort(by_color.begin(), by_color.end(),
-              [&](graph::Vertex a, graph::Vertex b) {
-                return prev[a] < prev[b];
-              });
-    const graph::OrderedAdjacency adjacency(g, by_color);
-    for (graph::Vertex v = 0; v < n; ++v) {
-      signature.clear();
-      signature.push_back(prev[v]);
-      for (graph::Vertex u : adjacency.Neighbors(v)) {
-        signature.push_back(prev[u]);
+    for (size_t v = 0; v < n; ++v) {
+      signatures[offset[v]] = prev[v];
+      cursor[v] = offset[v] + 1;
+      by_color[v] = uint64_t{prev[v]} << 32 | v;
+    }
+    // Visiting the vertices by color appends each block's neighbor colors
+    // in ascending order.
+    std::sort(by_color.begin(), by_color.end());
+    for (const uint64_t key : by_color) {
+      const auto color = static_cast<uint32_t>(key >> 32);
+      for (graph::Vertex x : g.Neighbors(static_cast<graph::Vertex>(key))) {
+        signatures[cursor[static_cast<size_t>(x)]++] = color;
       }
-      colors[h][v] = dict.FindOrInsert(signature.data(), signature.size());
+    }
+    colors[h].resize(n);
+    for (size_t v = 0; v < n; ++v) {
+      prev[v] = dict.FindOrInsert(
+          signatures.data() + offset[v],
+          static_cast<uint32_t>(offset[v + 1] - offset[v]));
+      colors[h][v] = prev[v];
     }
   }
   return colors;

@@ -15,25 +15,36 @@ namespace deepmap::serve {
 
 namespace {
 
-/// The reference set's vertex feature maps and densification scheme. For
-/// WL the maps come from `refinery`, which is left holding the training
-/// dictionaries: the one refinement of the reference set both builds the
-/// vocabulary and replays the dictionary that request graphs are colored
-/// with. WlRefinement is deterministic, so this equals
-/// ComputeDatasetVertexFeatures, which refines with a refinery of its own.
+/// The reference set's densification scheme, built from its vertex rows
+/// without keeping them. For WL the rows come from `refinery`, which is
+/// left holding the training dictionaries: the one refinement of the
+/// reference set both builds the vocabulary and replays the dictionary that
+/// request graphs are colored with. WlRefinement is deterministic, so this
+/// equals the scheme of ComputeDatasetVertexFeatures, which refines with a
+/// refinery of its own.
 kernels::DatasetVertexFeatures ReferenceFeatures(
     const graph::GraphDataset& reference,
     const kernels::VertexFeatureConfig& config,
     kernels::WlRefinement* refinery) {
+  kernels::VertexRows rows;
   if (refinery == nullptr) {
-    return kernels::ComputeDatasetVertexFeatures(reference, config);
+    rows = kernels::VertexRows::Of(
+        kernels::ComputeDatasetVertexMaps(reference, config));
+  } else {
+    // Vertex v's map is one count per iteration, (h, colors[h][v]) -> 1,
+    // and PackWlFeature orders those ids by h.
+    for (const graph::Graph& g : reference.graphs()) {
+      const std::vector<std::vector<int64_t>> colors = refinery->Refine(g);
+      for (int v = 0; v < g.NumVertices(); ++v) {
+        for (size_t h = 0; h < colors.size(); ++h) {
+          rows.entries.emplace_back(
+              kernels::PackWlFeature(static_cast<int>(h), colors[h][v]), 1.0);
+        }
+        rows.EndRow();
+      }
+    }
   }
-  std::vector<std::vector<kernels::SparseFeatureMap>> maps;
-  maps.reserve(reference.graphs().size());
-  for (const graph::Graph& g : reference.graphs()) {
-    maps.push_back(kernels::VertexWlFeatureMaps(g, *refinery));
-  }
-  return kernels::DatasetVertexFeatures(std::move(maps), config.max_dense_dim,
+  return kernels::DatasetVertexFeatures(rows, config.max_dense_dim,
                                         config.log_scale_dense,
                                         config.normalize_dense);
 }
@@ -84,11 +95,13 @@ void Preprocessor::AppendWlRows(const graph::Graph& g, SparseInput* input) {
   std::vector<std::vector<int64_t>> colors;
   {
     std::lock_guard<std::mutex> lock(mu_);  // the dictionary may grow
+    DEEPMAP_TRACE_SPAN("kernels.feature_maps", "serve");
     colors = refinery_->Refine(g);
     wl_colors_.store(DictionaryEntries(*refinery_), std::memory_order_relaxed);
   }
   // Vertex v's map is one count per iteration, (h, colors[h][v]) -> 1, and
   // PackWlFeature orders those ids by h.
+  DEEPMAP_TRACE_SPAN("kernels.densify", "serve");
   const size_t k = colors.size();
   std::vector<std::pair<kernels::FeatureId, double>> ids(k);
   std::vector<kernels::RowEntry> row(k);
@@ -138,7 +151,13 @@ StatusOr<SparseInput> Preprocessor::PreprocessSparse(const graph::Graph& g) {
   if (refinery_ != nullptr) {
     AppendWlRows(g, &input);
   } else {
-    for (const kernels::SparseFeatureMap& map : ComputeMaps(g)) {
+    std::vector<kernels::SparseFeatureMap> maps;
+    {
+      DEEPMAP_TRACE_SPAN("kernels.feature_maps", "serve");
+      maps = ComputeMaps(g);
+    }
+    DEEPMAP_TRACE_SPAN("kernels.densify", "serve");
+    for (const kernels::SparseFeatureMap& map : maps) {
       for (const kernels::RowEntry& e : features_.SparseRow(map)) {
         input.Push(e.col, static_cast<float>(e.value));
       }
@@ -156,10 +175,13 @@ StatusOr<SparseInput> Preprocessor::PreprocessSparse(const graph::Graph& g) {
     DEEPMAP_TRACE_SPAN("core.centrality", "serve");
     centrality = core::ComputeCentrality(g, config_.alignment, alignment_rng);
   }
-  const std::vector<graph::Vertex> sequence =
-      core::GenerateVertexSequence(g, centrality, sequence_length_);
-
+  std::vector<graph::Vertex> sequence;
+  {
+    DEEPMAP_TRACE_SPAN("core.alignment", "serve");
+    sequence = core::GenerateVertexSequence(g, centrality, sequence_length_);
+  }
   // kDummyVertex is the -1 the field table uses for a dummy row.
+  DEEPMAP_TRACE_SPAN("core.receptive_field", "serve");
   input.field = core::BuildFieldTable(g, sequence, r, centrality);
   return input;
 }

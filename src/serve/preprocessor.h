@@ -12,6 +12,9 @@
 //     state); the reference set is refined once, by the Preprocessor's own
 //     refinery, which both yields the vocabulary and keeps the dictionary,
 //   - the sequence length w is pinned to the training-time maximum.
+// The scheme is built from the reference set's vertex rows, which are not
+// kept: features() holds the vocabulary, the column scales and dim(), but
+// no per-vertex map, since serving never reads one.
 // Request graphs then go through the identical per-graph steps, except that
 // nothing is densified: PreprocessSparse emits each vertex's nonzero
 // (column, value) pairs once (converted to float) and a [w, r] table of

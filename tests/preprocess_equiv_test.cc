@@ -25,6 +25,7 @@
 #include <cmath>
 #include <cstring>
 #include <filesystem>
+#include <limits>
 #include <map>
 #include <numeric>
 #include <string>
@@ -523,8 +524,9 @@ TEST_P(PreprocessEquivTest, PreprocessSparseBytesMatchReference) {
       // shows in the bytes.
       config.features.max_dense_dim = 64;
       serve::Preprocessor preprocessor(reference, config);
-      const kernels::Vocabulary vocabulary =
-          ReferenceVocabulary(preprocessor.features());
+      // The preprocessor keeps no maps; the offline pipeline's are the same.
+      const kernels::Vocabulary vocabulary = ReferenceVocabulary(
+          kernels::ComputeDatasetVertexFeatures(reference, config.features));
       ReferenceWl wl(config.features.wl.iterations);
       for (const Graph& g : reference.graphs()) wl.Refine(g);
       for (const Graph& g : corpus) {
@@ -556,8 +558,9 @@ INSTANTIATE_TEST_SUITE_P(Table1, PreprocessEquivTest,
 /// Refines `graphs` in order with a WlRefinement and a ReferenceWl, twice,
 /// comparing colours and dictionary sizes after every graph. The second pass
 /// looks up again every signature the first one stored.
-void ExpectSameRefinement(const std::vector<Graph>& graphs, int iterations) {
-  kernels::WlRefinement refinery(kernels::WlConfig{iterations});
+void ExpectSameRefinement(const std::vector<Graph>& graphs,
+                          kernels::WlRefinement& refinery) {
+  const int iterations = refinery.iterations();
   ReferenceWl expected(iterations);
   for (int pass = 0; pass < 2; ++pass) {
     for (size_t i = 0; i < graphs.size(); ++i) {
@@ -570,6 +573,11 @@ void ExpectSameRefinement(const std::vector<Graph>& graphs, int iterations) {
       }
     }
   }
+}
+
+void ExpectSameRefinement(const std::vector<Graph>& graphs, int iterations) {
+  kernels::WlRefinement refinery(kernels::WlConfig{iterations});
+  ExpectSameRefinement(graphs, refinery);
 }
 
 TEST(WlDictionaryTest, HubSignatureLongerThanOneArenaBlock) {
@@ -613,6 +621,111 @@ TEST(WlDictionaryTest, SlotArrayGrowthKeepsIds) {
   EXPECT_GT(refinery.NumColorsAtIteration(2), 16u << 8);
 }
 
+TEST(WlDictionaryTest, ExtremeLabelsInOneGraph) {
+  // Labels 0 and INT32_MAX side by side, then with the negative extremes:
+  // the arena holds them as 32-bit colours, where a negative label sorts
+  // after every non-negative one. Ids must not change either way.
+  constexpr graph::Label kMax = std::numeric_limits<int32_t>::max();
+  const std::vector<std::vector<graph::Label>> label_sets = {
+      {0, kMax, 1, kMax - 1},
+      {0, kMax, 1, kMax - 1, -1, std::numeric_limits<int32_t>::min()}};
+  Rng rng(17);
+  std::vector<Graph> graphs;
+  for (const std::vector<graph::Label>& labels : label_sets) {
+    for (int i = 0; i < 30; ++i) {
+      Graph g = datasets::ErdosRenyi(12 + i % 7, 0.3, rng);
+      for (Vertex v = 0; v < g.NumVertices(); ++v) {
+        g.SetLabel(v, labels[static_cast<size_t>(rng.UniformInt(
+                          0, static_cast<int>(labels.size()) - 1))]);
+      }
+      graphs.push_back(std::move(g));
+    }
+  }
+  ExpectSameRefinement(graphs, 3);
+}
+
+TEST(WlDictionaryTest, EverySignatureLengthFromOneToNine) {
+  // Disjoint stars with 0..8 leaves give signatures of every length 1..9:
+  // the hash takes four colours per round in two lanes, so these reach
+  // every tail (none, one, two, three colours left) after zero, one and two
+  // full rounds. A hash reading past a signature's end would hash a block
+  // in the scatter buffer and its arena copy differently.
+  Rng rng(23);
+  std::vector<Graph> graphs;
+  for (int i = 0; i < 60; ++i) {
+    Graph g;
+    for (int leaves = 0; leaves <= 8; ++leaves) {
+      const Vertex center = g.AddVertex(rng.UniformInt(0, 3));
+      for (int l = 0; l < leaves; ++l) {
+        g.AddEdge(center, g.AddVertex(rng.UniformInt(0, 3)));
+      }
+    }
+    graphs.push_back(std::move(g));
+  }
+  ExpectSameRefinement(graphs, 3);
+}
+
+TEST(WlDictionaryTest, OverAHundredThousandEntriesPerIteration) {
+  // 2600 graphs of 40 vertices with labels from a million: nearly every
+  // signature is new, so each iteration passes 10^5 entries and the 64-bit
+  // slot array grows from 16 slots to at least 2^18.
+  Rng rng(29);
+  std::vector<Graph> graphs;
+  for (int i = 0; i < 2600; ++i) {
+    Graph g = datasets::ErdosRenyi(40, 0.1, rng);
+    for (Vertex v = 0; v < g.NumVertices(); ++v) {
+      g.SetLabel(v, rng.UniformInt(0, 999999));
+    }
+    graphs.push_back(std::move(g));
+  }
+  ExpectSameRefinement(graphs, 2);
+  kernels::WlRefinement refinery(kernels::WlConfig{2});
+  for (const Graph& g : graphs) refinery.Refine(g);
+  EXPECT_GT(refinery.NumColorsAtIteration(1), 100000u);
+  EXPECT_GT(refinery.NumColorsAtIteration(2), 100000u);
+}
+
+TEST(WlDictionaryTest, FullHashCollisionsGetTheirOwnIds) {
+  // Seed 2^32 makes the multiplier 2^32 + 1, under which many short
+  // signatures share a full 64-bit hash. For each length 2..5, find two
+  // signatures that differ only in their last color and collide, then refine
+  // a graph holding both as stars (center = first color, leaves = the
+  // rest, already sorted): only the element-by-element comparison keeps
+  // them apart.
+  constexpr uint64_t kWeakSeed = uint64_t{1} << 32;
+  std::vector<std::vector<uint32_t>> colliding;
+  for (uint32_t length = 2; length <= 5; ++length) {
+    std::vector<uint32_t> signature(length, 0);
+    bool found = false;
+    for (uint32_t first = 0; first < 4 && !found; ++first) {
+      signature[0] = first;
+      std::map<uint64_t, uint32_t> last_by_hash;
+      for (uint32_t last = 0; last < 64 && !found; ++last) {
+        signature[length - 1] = last;
+        const uint64_t hash = kernels::WlRefinement::SignatureHash(
+            signature.data(), length, kWeakSeed);
+        const auto [it, inserted] = last_by_hash.emplace(hash, last);
+        if (!inserted) {
+          colliding.push_back(signature);
+          colliding.back()[length - 1] = it->second;
+          colliding.push_back(signature);
+          found = true;
+        }
+      }
+    }
+    ASSERT_TRUE(found) << "no colliding pair of length " << length;
+  }
+  Graph g;
+  for (const std::vector<uint32_t>& signature : colliding) {
+    const Vertex center = g.AddVertex(static_cast<graph::Label>(signature[0]));
+    for (size_t i = 1; i < signature.size(); ++i) {
+      g.AddEdge(center, g.AddVertex(static_cast<graph::Label>(signature[i])));
+    }
+  }
+  kernels::WlRefinement refinery(kernels::WlConfig{2}, kWeakSeed);
+  ExpectSameRefinement({g, Renumbered(g, 31)}, refinery);
+}
+
 TEST(WlDictionaryTest, LoadLeavesOneReplayOfTheReferenceSet) {
   for (const std::string name : {"PTC_MM", "COLLAB"}) {
     SCOPED_TRACE(name);
@@ -642,17 +755,38 @@ TEST(WlDictionaryTest, LoadLeavesOneReplayOfTheReferenceSet) {
     }
     EXPECT_EQ(preprocessor.wl_colors(), replayed);
 
-    // The maps and the densification scheme are the offline pipeline's.
+    // The densification scheme is the offline pipeline's, and the maps it
+    // was built from are not kept.
     const kernels::DatasetVertexFeatures& got = preprocessor.features();
     EXPECT_EQ(got.dim(), expected.dim());
     EXPECT_EQ(got.uses_hashing(), expected.uses_hashing());
     EXPECT_TRUE(SameDoubles(got.column_scale(), expected.column_scale()));
-    ASSERT_EQ(got.all().size(), expected.all().size());
+    EXPECT_TRUE(got.all().empty());
+
+    // Every reference vertex's served row is the offline row of its offline
+    // map, so the replayed dictionary gave every vertex its training colors.
     for (int g = 0; g < reference.size(); ++g) {
+      StatusOr<serve::SparseInput> input =
+          preprocessor.PreprocessSparse(reference.graph(g));
+      ASSERT_TRUE(input.ok()) << input.status().ToString();
+      serve::SparseInput want;
       for (Vertex v = 0; v < reference.graph(g).NumVertices(); ++v) {
-        ASSERT_EQ(got.Get(g, v).entries(), expected.Get(g, v).entries());
+        for (const kernels::RowEntry& e :
+             expected.SparseRow(expected.Get(g, v))) {
+          want.Push(e.col, static_cast<float>(e.value));
+        }
+        want.EndRow();
       }
+      const serve::SparseInput& rows = input.value();
+      SCOPED_TRACE("graph " + std::to_string(g));
+      EXPECT_EQ(rows.row_ptr, want.row_ptr);
+      EXPECT_EQ(rows.cols, want.cols);
+      ASSERT_EQ(rows.vals.size(), want.vals.size());
+      EXPECT_EQ(std::memcmp(rows.vals.data(), want.vals.data(),
+                            rows.vals.size() * sizeof(float)),
+                0);
     }
+    EXPECT_EQ(preprocessor.wl_colors(), replayed);
   }
 }
 

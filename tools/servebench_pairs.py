@@ -16,9 +16,13 @@ is appended as one line to --out:
 The second form reads such a file. Both forms then print, for each
 end-to-end metric of BENCHMARK.json and each workload: the median of each
 side, the change in percent, the number of seed pairs the change won, and
-the parent's interquartile range relative to its median. Exit status: 0
-when every run was correct with no failed request and every seed has both
-sides, 1 otherwise.
+the parent's interquartile range relative to its median. Before the
+table they print every run's `attempted` count (requests the 20 s window
+served) and mark a run `slow phase` when it attempted under a third of its
+workload's median: the host was slow during that run, and its
+`cpu_us_per_req` reads high. Marked runs stay in the medians. Exit status:
+0 when every run was correct with no failed request and every seed has
+both sides, 1 otherwise.
 """
 import argparse
 import json
@@ -89,6 +93,25 @@ def quartiles(values):
     return tuple(statistics.quantiles(values, n=4, method="inclusive"))
 
 
+def print_attempted(records):
+    """One line per run with its attempted count; slow phases are marked."""
+    runs = [r for r in records
+            if r["result"] is not None and "attempted" in r["result"]]
+    median = {}
+    for workload in {r["workload"] for r in runs}:
+        median[workload] = statistics.median(
+            r["result"]["attempted"] for r in runs
+            if r["workload"] == workload)
+    print("%-14s %5s %-7s %10s" % ("workload", "seed", "side", "attempted"))
+    for r in sorted(runs, key=lambda r: (r["workload"], r["seed"],
+                                         r["side"])):
+        attempted = r["result"]["attempted"]
+        slow = 3 * attempted < median[r["workload"]]
+        print("%-14s %5d %-7s %10d%s" % (
+            r["workload"], r["seed"], r["side"], attempted,
+            "  slow phase" if slow else ""))
+
+
 def summarize(records):
     """Prints the per-metric table; returns True when every run is sound."""
     sound = True
@@ -102,6 +125,7 @@ def summarize(records):
             sound = False
             continue
         by_key[(r["workload"], r["seed"], r["side"])] = result["metrics"]
+    print_attempted(records)
     workloads = sorted({r["workload"] for r in records})
     print("%-14s %-16s %12s %12s %9s %6s %14s" % (
         "workload", "metric", "parent", "change", "delta", "won",
