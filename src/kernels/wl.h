@@ -10,7 +10,7 @@
 // (iteration, color-of-v) pair — the subtree patterns rooted at v.
 //
 // Each round is linear in the graph apart from one sort of the n vertices.
-// A graph's signatures live in one flat buffer of n + 2m colours, vertex v
+// A graph's signatures live in one flat buffer of n + 2m colors, vertex v
 // owning a block of deg(v) + 1 at offsets computed once per graph. Each
 // round writes v's own color at the head of its block, then walks the
 // vertices in previous-color order and scatters each one's color into its
@@ -20,7 +20,7 @@
 //
 // Each iteration's dictionary is one flat table, not a node-based map:
 //   - signatures are copied once, on a miss, into an arena of fixed-size
-//     uint32_t blocks. Labels are int32 and colour ids are uint32 entry
+//     uint32_t blocks. Labels are int32 and color ids are uint32 entry
 //     indices, so 32 bits hold every element exactly;
 //   - one 16-byte record per entry holds a pointer to its signature in the
 //     arena, its length and the low half of its hash, and an entry's index
@@ -36,7 +36,7 @@
 // vector would hold the old and the new buffer at once, and a block never
 // moves, so the entries' key pointers stay valid. A signature never
 // straddles two blocks; one longer than a block gets a block of its own. The
-// hash runs two lanes of 64-bit multiply-folds, each taking two colours per
+// hash runs two lanes of 64-bit multiply-folds, each taking two colors per
 // step, both seeded per process: nothing iterates the table, and a seed
 // unknown to clients keeps crafted request labels from forcing long probe
 // runs.
