@@ -5,7 +5,7 @@
 // This header gives them one insertion-ordered JSON tree with a common
 // envelope:
 //
-//   JsonValue doc = BenchDoc("serve_throughput");   // bench/schema/host info
+//   JsonValue doc = BenchDoc("serve_chaos");          // bench/schema/host info
 //   doc.Obj("flags").Set("requests", 512).Set("batch", 32);
 //   doc.Obj("seeds").Set("fault", int64_t{0xc4a05});
 //   JsonValue& rows = doc.Arr("results");

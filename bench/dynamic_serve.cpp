@@ -1,9 +1,8 @@
-// Benchmarks dynamic-graph serving (graph/dynamic_graph.h, ClassifyDelta,
-// and the sharded streaming corpus) and writes the results as JSON
-// (default: BENCH_dynamic_serve.json in the working directory; argv[1]
-// overrides).
+// Benchmarks dynamic-graph serving (graph/dynamic_graph.h and ClassifyDelta)
+// and writes the results as JSON (default: BENCH_dynamic_serve.json in the
+// working directory; argv[1] overrides).
 //
-// Three sections:
+// Two sections:
 //
 //   key_update (gated): per-delta cost of the DynamicGraph key path — Apply
 //     plus the O(1) digest-leaf update and key assembly, what
@@ -18,15 +17,6 @@
 //     the mutated snapshot) and cache hits (an empty delta re-reading the
 //     current structure). Every answer is compared with a fresh
 //     Predict(Preprocess(snapshot)); the gate is zero differing answers.
-//
-//   streaming (gated): a multi-shard TU corpus is written and re-read
-//     through ShardedTuCorpus; the resident set is one shard by
-//     construction, and the gate pins it — the largest materialized batch
-//     must stay within 2x of total_bytes / num_shards (the factor absorbs
-//     shard-size rounding), i.e. peak memory is bounded by one shard, not
-//     the corpus.
-#include <unistd.h>
-
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -34,7 +24,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <filesystem>
 #include <memory>
 #include <string>
 #include <utility>
@@ -45,7 +34,6 @@
 #include "core/deepmap.h"
 #include "datasets/random_graphs.h"
 #include "datasets/registry.h"
-#include "datasets/sharded_tu_corpus.h"
 #include "graph/dynamic_graph.h"
 #include "graph/graph.h"
 #include "nn/model.h"
@@ -57,15 +45,6 @@ namespace {
 
 using namespace deepmap;
 using Clock = std::chrono::steady_clock;
-
-/// Approximate heap footprint of one graph: labels plus both directions of
-/// every adjacency entry. Good enough to compare a batch against the corpus.
-size_t ApproxGraphBytes(const graph::Graph& g) {
-  return sizeof(graph::Graph) +
-         static_cast<size_t>(g.NumVertices()) *
-             (sizeof(graph::Label) + sizeof(std::vector<graph::Vertex>)) +
-         2 * static_cast<size_t>(g.NumEdges()) * sizeof(graph::Vertex);
-}
 
 double MsSince(Clock::time_point start) {
   return std::chrono::duration<double, std::milli>(Clock::now() - start)
@@ -182,20 +161,6 @@ ServeResult RunClassifyDelta(int deltas) {
   return result;
 }
 
-graph::Graph RandomSmallGraph(Rng& rng) {
-  const int n = 6 + static_cast<int>(rng.Index(20));
-  graph::Graph g;
-  for (int v = 0; v < n; ++v) {
-    g.AddVertex(static_cast<graph::Label>(rng.Index(3)));
-  }
-  for (int u = 0; u < n; ++u) {
-    for (int v = u + 1; v < n; ++v) {
-      if (rng.Bernoulli(0.2)) g.AddEdge(u, v);
-    }
-  }
-  return g;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -298,73 +263,7 @@ int main(int argc, char** argv) {
   }
   cd.Set("pass", serve_pass);
 
-  // ---- streaming corpus ----------------------------------------------------
-  const int corpus_graphs = full ? 4000 : 1200;
-  const int shard_size = corpus_graphs / 8;  // 8 equal shards
-  const std::filesystem::path dir =
-      std::filesystem::temp_directory_path() /
-      ("deepmap_bench_corpus_" + std::to_string(::getpid()));
-  std::filesystem::create_directories(dir);
-
-  size_t total_bytes = 0;
-  {
-    datasets::ShardedTuCorpusWriter::Options wopts;
-    wopts.shard_size = shard_size;
-    datasets::ShardedTuCorpusWriter writer(dir.string(), "STREAM", wopts);
-    Rng corpus_rng(0xC0FFEE);
-    for (int i = 0; i < corpus_graphs; ++i) {
-      graph::Graph g = RandomSmallGraph(corpus_rng);
-      total_bytes += ApproxGraphBytes(g);
-      if (!writer.Append(std::move(g), static_cast<int>(corpus_rng.Index(2)))
-               .ok()) {
-        std::abort();
-      }
-    }
-    if (!writer.Finalize().ok()) std::abort();
-  }
-
-  size_t peak_batch_bytes = 0;
-  int64_t streamed = 0;
-  int num_shards = 0;
-  double stream_ms = 0.0;
-  {
-    auto corpus = datasets::ShardedTuCorpus::Open(dir.string(), "STREAM");
-    if (!corpus.ok()) std::abort();
-    num_shards = corpus.value().num_shards();
-    auto start = Clock::now();
-    while (!corpus.value().Done()) {
-      auto batch = corpus.value().NextBatch();
-      if (!batch.ok()) std::abort();
-      size_t batch_bytes = 0;
-      for (int i = 0; i < batch.value().size(); ++i) {
-        batch_bytes += ApproxGraphBytes(batch.value().graph(i));
-      }
-      peak_batch_bytes = std::max(peak_batch_bytes, batch_bytes);
-      streamed += batch.value().size();
-    }  // the batch (one shard) dies here: resident set is one shard
-    stream_ms = std::chrono::duration<double, std::milli>(Clock::now() - start)
-                    .count();
-  }
-  std::filesystem::remove_all(dir);
-
-  const double shard_budget_bytes =
-      2.0 * static_cast<double>(total_bytes) / num_shards;
-  const bool streaming_pass =
-      streamed == corpus_graphs && num_shards >= 4 &&
-      static_cast<double>(peak_batch_bytes) <= shard_budget_bytes;
-
-  bench::JsonValue& stream = doc.Obj("streaming");
-  stream.Set("corpus_graphs", corpus_graphs)
-      .Set("num_shards", num_shards)
-      .Set("shard_size", shard_size)
-      .Set("corpus_bytes", total_bytes)
-      .Set("peak_batch_bytes", peak_batch_bytes)
-      .Set("shard_budget_bytes",
-           bench::JsonValue::Fixed(shard_budget_bytes, 0))
-      .Set("stream_ms", bench::JsonValue::Fixed(stream_ms, 2))
-      .Set("pass", streaming_pass);
-
-  const bool pass = key_pass && serve_pass && streaming_pass;
+  const bool pass = key_pass && serve_pass;
   doc.Set("pass", pass);
   bench::WriteBenchFile(out_path, doc);
 
@@ -380,10 +279,5 @@ int main(int argc, char** argv) {
       Percentile(served.hit_us, 0.5), served.hit_us.size(),
       static_cast<long long>(served.wrong_answers),
       serve_pass ? "PASS" : "FAIL");
-  std::printf(
-      "dynamic_serve: streamed %lld graphs over %d shards, peak batch "
-      "%zu bytes vs one-shard budget %.0f -> %s\n",
-      static_cast<long long>(streamed), num_shards, peak_batch_bytes,
-      shard_budget_bytes, streaming_pass ? "PASS" : "FAIL");
   return pass ? 0 : 1;
 }

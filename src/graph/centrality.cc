@@ -8,9 +8,17 @@
 #include "graph/algorithms.h"
 
 namespace deepmap::graph {
+namespace {
 
-std::vector<double> EigenvectorCentrality(const Graph& g,
-                                          const CentralityOptions& options) {
+// Iteration cap and convergence tolerance of the power iterations.
+constexpr int kMaxIterations = 200;
+constexpr double kTolerance = 1e-10;
+// PageRank damping factor.
+constexpr double kDamping = 0.85;
+
+}  // namespace
+
+std::vector<double> EigenvectorCentrality(const Graph& g) {
   const int n = g.NumVertices();
   if (n == 0) return {};
   if (g.NumEdges() == 0) {
@@ -80,8 +88,7 @@ std::vector<double> EigenvectorCentrality(const Graph& g,
   for (const Range& range : ranges) {
     std::fill(x.begin() + range.begin, x.begin() + range.end, range.uniform);
   }
-  const double tol = options.tolerance;
-  for (int iter = 0; iter < options.max_iterations; ++iter) {
+  for (int iter = 0; iter < kMaxIterations; ++iter) {
     // Iterate on A + I: same eigenvectors as A, but the top eigenvalue is
     // strictly dominant in magnitude, so the iteration also converges on
     // bipartite graphs (where A's spectrum is symmetric and plain power
@@ -104,7 +111,7 @@ std::vector<double> EigenvectorCentrality(const Graph& g,
         norm = std::sqrt(norm);
         for (int32_t p = range.begin; p < range.end; ++p) {
           next[p] = next[p] / norm;
-          moved |= std::fabs(next[p] - x[p]) >= tol;
+          moved |= std::fabs(next[p] - x[p]) >= kTolerance;
         }
       } else {
         // Unreachable from the positive start above (A+I maps positive
@@ -117,8 +124,8 @@ std::vector<double> EigenvectorCentrality(const Graph& g,
       }
     }
     x.swap(next);
-    // !moved is "max |next - x| < tol" over a max that starts at 0.
-    if (!renormalized && !moved && tol > 0.0) break;
+    // !moved is "max |next - x| < kTolerance" over a max that starts at 0.
+    if (!renormalized && !moved) break;
   }
   // Rescale so the full vector is L2-normalized (each active component
   // currently has unit norm). With one component this is the historical
@@ -140,14 +147,13 @@ std::vector<double> DegreeCentrality(const Graph& g) {
   return c;
 }
 
-std::vector<double> PageRankCentrality(const Graph& g,
-                                       const CentralityOptions& options) {
+std::vector<double> PageRankCentrality(const Graph& g) {
   const int n = g.NumVertices();
   if (n == 0) return {};
-  const double d = options.damping;
+  const double d = kDamping;
   std::vector<double> rank(n, 1.0 / n);
   std::vector<double> next(n, 0.0);
-  for (int iter = 0; iter < options.max_iterations; ++iter) {
+  for (int iter = 0; iter < kMaxIterations; ++iter) {
     double dangling = 0.0;
     for (Vertex v = 0; v < n; ++v) {
       if (g.Degree(v) == 0) dangling += rank[v];
@@ -162,7 +168,7 @@ std::vector<double> PageRankCentrality(const Graph& g,
     double delta = 0.0;
     for (int v = 0; v < n; ++v) delta += std::fabs(next[v] - rank[v]);
     rank.swap(next);
-    if (delta < options.tolerance) break;
+    if (delta < kTolerance) break;
   }
   return rank;
 }

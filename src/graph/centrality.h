@@ -10,14 +10,6 @@
 
 namespace deepmap::graph {
 
-/// Options for iterative centrality computations.
-struct CentralityOptions {
-  int max_iterations = 200;
-  double tolerance = 1e-10;
-  /// PageRank damping factor.
-  double damping = 0.85;
-};
-
 /// Eigenvector centrality via power iteration on the adjacency matrix,
 /// L2-normalized, all entries >= 0. Isolated vertices get value 0 unless the
 /// whole graph has no edges, in which case the vector is uniform.
@@ -39,15 +31,14 @@ struct CentralityOptions {
 /// output bit (centrality.cc is built with FP contraction off); a looser
 /// stop or another summation order would reorder near-ties in the alignment
 /// and change logits.
-std::vector<double> EigenvectorCentrality(
-    const Graph& g, const CentralityOptions& options = {});
+std::vector<double> EigenvectorCentrality(const Graph& g);
 
 /// Degree of each vertex as a double (ablation baseline).
 std::vector<double> DegreeCentrality(const Graph& g);
 
-/// PageRank with uniform teleport, L1-normalized (ablation baseline).
-std::vector<double> PageRankCentrality(const Graph& g,
-                                       const CentralityOptions& options = {});
+/// PageRank with uniform teleport and damping 0.85, L1-normalized (ablation
+/// baseline).
+std::vector<double> PageRankCentrality(const Graph& g);
 
 /// Exact betweenness centrality via Brandes' algorithm, O(|V||E|).
 /// PATCHY-SAN's canonical labeling is often approximated with betweenness;

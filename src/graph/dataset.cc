@@ -44,16 +44,6 @@ int GraphDataset::MaxVertices() const {
   return w;
 }
 
-int GraphDataset::MaxDegree() const {
-  int d = 0;
-  for (const Graph& g : graphs_) {
-    for (Vertex v = 0; v < g.NumVertices(); ++v) {
-      d = std::max(d, g.Degree(v));
-    }
-  }
-  return d;
-}
-
 int GraphDataset::NumVertexLabels() const {
   std::set<Label> labels;
   for (const Graph& g : graphs_) {

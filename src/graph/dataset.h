@@ -31,7 +31,6 @@ class GraphDataset {
   int size() const { return static_cast<int>(graphs_.size()); }
 
   const std::vector<Graph>& graphs() const { return graphs_; }
-  std::vector<Graph>& mutable_graphs() { return graphs_; }
   const Graph& graph(int i) const;
 
   const std::vector<int>& labels() const { return labels_; }
@@ -44,9 +43,6 @@ class GraphDataset {
 
   /// Largest vertex count over all graphs (the paper's w).
   int MaxVertices() const;
-
-  /// Largest degree over all graphs.
-  int MaxDegree() const;
 
   /// Distinct vertex-label count across all graphs.
   int NumVertexLabels() const;

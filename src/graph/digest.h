@@ -12,8 +12,10 @@
 // That bound assumes non-adversarial inputs. The digest is unkeyed and
 // linear (a modular sum of public leaf values), so an attacker who knows a
 // target graph can search for a different edge set with the same sum
-// (Wagner's generalized-birthday attack). A cache shared by tenants who may
-// craft graphs against each other needs a keyed digest (ROADMAP item 2).
+// (Wagner's generalized-birthday attack). With this unkeyed digest, a
+// tenant who can predict another tenant's graph can forge a different graph
+// with the same key and poison the shared cache; a cache shared by tenants
+// who may craft graphs against each other needs a keyed digest.
 //
 // The digest is two independently mixed 64-bit lanes. Each lane is a
 // commutative modular sum of leaves, one per vertex (id, label) and one per

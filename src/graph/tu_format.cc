@@ -49,12 +49,6 @@ StatusOr<std::vector<int>> ParseIntLines(const std::string& path) {
 
 StatusOr<GraphDataset> ReadTuDataset(const std::string& directory,
                                      const std::string& name) {
-  return ReadTuDataset(directory, name, TuReadOptions{});
-}
-
-StatusOr<GraphDataset> ReadTuDataset(const std::string& directory,
-                                     const std::string& name,
-                                     const TuReadOptions& options) {
   const std::string prefix = directory + "/" + name + "_";
 
   auto indicator = ParseIntLines(prefix + "graph_indicator.txt");
@@ -125,26 +119,19 @@ StatusOr<GraphDataset> ReadTuDataset(const std::string& directory,
   }
 
   // Compact class labels to [0, C) preserving sorted order of raw labels.
-  // The sharded-corpus reader disables this: per-shard compaction would
-  // remap the same raw label to different ids in shards with different
-  // label subsets.
   std::vector<int> labels;
   labels.reserve(num_graphs);
-  if (options.compact_graph_labels) {
-    std::map<int, int> class_remap;
-    for (int raw : graph_labels_raw.value()) class_remap[raw] = 0;
-    int next = 0;
-    for (auto& [raw, compact] : class_remap) compact = next++;
-    for (int raw : graph_labels_raw.value()) {
-      labels.push_back(class_remap[raw]);
-    }
-  } else {
-    labels = graph_labels_raw.value();
+  std::map<int, int> class_remap;
+  for (int raw : graph_labels_raw.value()) class_remap[raw] = 0;
+  int next = 0;
+  for (auto& [raw, compact] : class_remap) compact = next++;
+  for (int raw : graph_labels_raw.value()) {
+    labels.push_back(class_remap[raw]);
   }
 
   GraphDataset dataset(name, std::move(graphs), std::move(labels),
                        has_vertex_labels);
-  if (has_vertex_labels && options.compact_vertex_labels) {
+  if (has_vertex_labels) {
     dataset.CompactVertexLabels();
   }
   return dataset;
@@ -184,7 +171,7 @@ Status WriteTuDataset(const GraphDataset& dataset,
 
   // A full disk does not fail operator<< loudly — it just sets badbit on
   // some later write (possibly only at flush). Check every stream after the
-  // loop AND after an explicit flush, so a truncated shard is an IoError
+  // loop AND after an explicit flush, so a truncated file is an IoError
   // here instead of a parse error (or silent corruption) on a later read.
   // The fail point simulates the out-of-space stream for tests.
   if (DEEPMAP_FAILPOINT_TRIGGERED("graph.tu.write")) {

@@ -15,27 +15,14 @@
 
 namespace deepmap::graph {
 
-/// Loader knobs. The defaults preserve the historical behavior (labels
-/// compacted to dense ranges); the sharded corpus reader turns both off so
-/// raw labels stay comparable across shards and remaps them globally.
-struct TuReadOptions {
-  /// Compact graph class labels to [0, C) by sorted order of raw labels.
-  bool compact_graph_labels = true;
-  /// Compact vertex labels to a dense range (when the dataset is labeled).
-  bool compact_vertex_labels = true;
-};
-
 /// Loads dataset `name` from `directory` (expects files `name_A.txt`,
 /// `name_graph_indicator.txt`, `name_graph_labels.txt` and optionally
-/// `name_node_labels.txt`). With default options graph class labels are
-/// compacted to [0, C) and vertex labels to a dense range. When no
+/// `name_node_labels.txt`). Graph class labels are compacted to [0, C) by
+/// sorted order of raw labels and vertex labels to a dense range. When no
 /// node-label file is present the dataset is marked unlabeled (callers
 /// typically then apply UseDegreesAsLabels, as the paper does). Every
 /// integer field is parsed strictly: trailing garbage, extra columns, and
 /// overflow are InvalidArgument, never silently truncated.
-StatusOr<GraphDataset> ReadTuDataset(const std::string& directory,
-                                     const std::string& name,
-                                     const TuReadOptions& options);
 StatusOr<GraphDataset> ReadTuDataset(const std::string& directory,
                                      const std::string& name);
 
@@ -43,7 +30,7 @@ StatusOr<GraphDataset> ReadTuDataset(const std::string& directory,
 /// Node labels are written unless the dataset is marked unlabeled. Stream
 /// state is checked after the write loop and on flush, so a full disk (or
 /// the "graph.tu.write" fail point) surfaces as IoError instead of a
-/// silently truncated shard.
+/// silently truncated file.
 Status WriteTuDataset(const GraphDataset& dataset,
                       const std::string& directory);
 

@@ -44,8 +44,6 @@ class Sequential {
     return Add(std::make_unique<L>(std::forward<Args>(args)...));
   }
 
-  size_t NumLayers() const { return layers_.size(); }
-
   Tensor Forward(const Tensor& input, bool training);
 
   /// Back-propagates through the stack; returns dLoss/dInput so models can

@@ -46,9 +46,7 @@ ServeCluster::ServeCluster(std::shared_ptr<ServableModel> model,
       health_metrics_(&metrics_.registry(),
                       std::max<size_t>(options.num_replicas, 1)),
       cache_(options.cache_capacity,
-             options.cache_shards > 0
-                 ? options.cache_shards
-                 : 2 * std::max<size_t>(options.num_replicas, 1),
+             2 * std::max<size_t>(options.num_replicas, 1),
              &metrics_.registry()),
       dynamic_graphs_(options.cache_wl_iterations) {
   options_.num_replicas = std::max<size_t>(options_.num_replicas, 1);

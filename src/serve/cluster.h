@@ -90,14 +90,13 @@ class ServeCluster {
     /// Watchdog / self-healing knobs (set supervision.enabled = false to run
     /// without the background watchdog; ScanOnce still works).
     Supervisor::Options supervision;
-    /// Shared prediction cache; 0 disables caching cluster-wide.
+    /// Shared prediction cache; 0 disables caching cluster-wide. The cache
+    /// has 2x replicas lock stripes, so concurrent replicas rarely contend
+    /// on one.
     size_t cache_capacity = 4096;
     /// Unused by the cache key (an exact digest, PredictionCache::KeyFor).
     /// servebench/ still reads it; it goes with the next benchmark change.
     int cache_wl_iterations = 2;
-    /// Lock stripes of the shared cache. 0 = auto (2x replicas, so
-    /// concurrent replicas rarely contend on a stripe).
-    size_t cache_shards = 0;
     /// Fair-share admission arms when the aggregate backlog exceeds this
     /// fraction of aggregate queue capacity; >= 1 disables it (requests are
     /// only rejected when every queue is full).

@@ -18,6 +18,9 @@ constexpr char kReloadRollbackCounter[] = "deepmap_serve_reload_rollback_total";
 constexpr char kReloadBreakerOpenCounter[] =
     "deepmap_serve_reload_breaker_open_total";
 
+// Reference graphs a reload replays through the new and old servables.
+constexpr int kShadowGraphs = 16;
+
 Status CheckOptions(const ModelRegistry::Options& options) {
   if (options.backend == "fp32") return Status::Ok();
   return Status::InvalidArgument("unknown inference backend '" +
@@ -199,59 +202,44 @@ StatusOr<std::shared_ptr<ServableModel>> ModelRegistry::Reload(
     return fail(std::move(s));
   }
 
-  // Shadow validation: replay calibration graphs through the NEW servable,
-  // reject non-finite logits (the injected-corruption signature) outright,
-  // and budget argmax flips against the OLD servable — a reload that changes
-  // most answers is more likely a bad artifact than a better model.
+  // Shadow validation: replay the first kShadowGraphs reference graphs that
+  // preprocess cleanly through the NEW servable, reject non-finite logits
+  // (the injected-corruption signature) outright, and count argmax flips
+  // against the OLD servable for the report and the log line.
   int shadow_used = 0;
   int label_flips = 0;
-  if (options.shadow_graphs > 0) {
-    ForwardScratch new_scratch, old_scratch;
-    const std::vector<graph::Graph>& graphs = reference.graphs();
-    for (size_t i = 0;
-         i < graphs.size() && shadow_used < options.shadow_graphs; ++i) {
-      StatusOr<SparseInput> input =
-          servable->preprocessor().PreprocessSparse(graphs[i]);
-      if (!input.ok()) continue;  // oversized/empty graphs can't validate
-      const Prediction fresh =
-          servable->compiled().Predict(input.value(), &new_scratch);
-      bool corrupt = DEEPMAP_FAILPOINT_TRIGGERED("serve.reload.corrupt");
-      for (int c = 0; c < servable->num_classes(); ++c) {
-        if (!std::isfinite(new_scratch.logits[static_cast<size_t>(c)])) {
-          corrupt = true;
-        }
+  ForwardScratch new_scratch, old_scratch;
+  const std::vector<graph::Graph>& graphs = reference.graphs();
+  for (size_t i = 0; i < graphs.size() && shadow_used < kShadowGraphs; ++i) {
+    StatusOr<SparseInput> input =
+        servable->preprocessor().PreprocessSparse(graphs[i]);
+    if (!input.ok()) continue;  // oversized/empty graphs can't validate
+    const Prediction fresh =
+        servable->compiled().Predict(input.value(), &new_scratch);
+    bool corrupt = DEEPMAP_FAILPOINT_TRIGGERED("serve.reload.corrupt");
+    for (int c = 0; c < servable->num_classes(); ++c) {
+      if (!std::isfinite(new_scratch.logits[static_cast<size_t>(c)])) {
+        corrupt = true;
       }
-      if (corrupt) {
-        if (report != nullptr) {
-          report->shadow_size = shadow_used;
-          report->label_flips = label_flips;
-        }
-        return fail(Status::Internal(
-            "reload shadow validation: corrupt (non-finite) logits on "
-            "calibration graph " + std::to_string(i)));
-      }
-      const Prediction stale =
-          old->compiled().Predict(input.value(), &old_scratch);
-      ++shadow_used;
-      if (fresh.label != stale.label) ++label_flips;
     }
-    if (shadow_used == 0) {
-      return fail(Status::FailedPrecondition(
-          "reload shadow validation: no calibration graph preprocessed "
-          "cleanly; cannot certify the new servable"));
-    }
-    if (options.max_label_flip_fraction < 1.0 &&
-        static_cast<double>(label_flips) / static_cast<double>(shadow_used) >
-            options.max_label_flip_fraction) {
+    if (corrupt) {
       if (report != nullptr) {
         report->shadow_size = shadow_used;
         report->label_flips = label_flips;
       }
-      return fail(Status::FailedPrecondition(
-          "reload shadow validation: " + std::to_string(label_flips) + "/" +
-          std::to_string(shadow_used) +
-          " argmax flips vs the serving version exceed the budget"));
+      return fail(Status::Internal(
+          "reload shadow validation: corrupt (non-finite) logits on "
+          "calibration graph " + std::to_string(i)));
     }
+    const Prediction stale =
+        old->compiled().Predict(input.value(), &old_scratch);
+    ++shadow_used;
+    if (fresh.label != stale.label) ++label_flips;
+  }
+  if (shadow_used == 0) {
+    return fail(Status::FailedPrecondition(
+        "reload shadow validation: no calibration graph preprocessed "
+        "cleanly; cannot certify the new servable"));
   }
 
   servable->version_ = old->version() + 1;

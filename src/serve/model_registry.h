@@ -136,14 +136,6 @@ class ModelRegistry {
 
   /// Knobs of one hot reload (Reload).
   struct ReloadOptions {
-    /// Shadow-validation slice: the first N reference graphs that
-    /// preprocess cleanly are replayed through the new AND old servables.
-    /// <= 0 skips shadow validation (the swap is still atomic).
-    int shadow_graphs = 16;
-    /// Maximum tolerated fraction of shadow graphs whose argmax label
-    /// differs between the new and old servables. Exceeding it rolls back.
-    /// >= 1 disables the flip budget (non-finite logits still roll back).
-    double max_label_flip_fraction = 1.0;
     /// Consecutive reload failures that open the per-model circuit breaker.
     int breaker_threshold = 3;
   };

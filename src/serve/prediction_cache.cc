@@ -174,13 +174,4 @@ size_t PredictionCache::shard_size(size_t shard) const {
   return shards_[shard]->lru.size();
 }
 
-std::vector<std::string> PredictionCache::KeysByRecency() const {
-  std::vector<std::string> keys;
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    for (const Entry& e : shard->lru) keys.push_back(e.first);
-  }
-  return keys;
-}
-
 }  // namespace deepmap::serve

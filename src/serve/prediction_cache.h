@@ -123,11 +123,6 @@ class PredictionCache {
   int64_t shard_evictions(size_t shard) const;
   size_t shard_size(size_t shard) const;
 
-  /// Keys in most-recently-used-first order within each shard, shards
-  /// concatenated in index order. With one shard this is the exact global
-  /// recency order (what the LRU tests pin).
-  std::vector<std::string> KeysByRecency() const;
-
  private:
   using Entry = std::pair<std::string, Prediction>;
 

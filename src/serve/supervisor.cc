@@ -230,8 +230,8 @@ void Supervisor::Redispatch(std::vector<ServeRequest>&& recovered,
 
 std::chrono::milliseconds Supervisor::BackoffFor(
     int consecutive_failures) const {
-  const double factor = std::pow(options_.restart_backoff_multiplier,
-                                 std::max(0, consecutive_failures - 1));
+  const double factor =
+      std::pow(2.0, std::max(0, consecutive_failures - 1));
   const double raw = static_cast<double>(
                          options_.restart_backoff_initial.count()) *
                      factor;

@@ -65,10 +65,9 @@ class Supervisor {
     /// A request recovered from more than this many failed replicas is
     /// quarantined with a degraded answer instead of re-dispatched.
     int max_request_failures = 2;
-    /// Exponential restart backoff: initial * multiplier^(failures-1),
-    /// capped at max.
+    /// Exponential restart backoff: initial * 2^(failures-1), capped at
+    /// max.
     std::chrono::milliseconds restart_backoff_initial{2};
-    double restart_backoff_multiplier = 2.0;
     std::chrono::milliseconds restart_backoff_max{500};
   };
 

@@ -91,10 +91,6 @@ SparseGraph SparseGraph::SumAdj(const graph::Graph& g, double eps) {
       [](graph::Vertex, graph::Vertex) { return 1.0; }));
 }
 
-SparseGraph SparseGraph::FromMatrix(SparseMatrix m) {
-  return SparseGraph(std::move(m));
-}
-
 nn::Tensor SparseGraph::Apply(const nn::Tensor& x) const {
   DEEPMAP_CHECK_EQ(x.rank(), 2);
   DEEPMAP_CHECK_EQ(x.dim(0), n());

@@ -38,9 +38,6 @@ class SparseGraph {
   /// (1 + eps) I + A — GIN's injective sum aggregation.
   static SparseGraph SumAdj(const graph::Graph& g, double eps = 0.0);
 
-  /// Wraps an arbitrary square matrix as an operator.
-  static SparseGraph FromMatrix(SparseMatrix m);
-
   int n() const { return matrix_.rows(); }
   int64_t nnz() const { return matrix_.nnz(); }
 

@@ -1,5 +1,6 @@
 // Tests for ServeCluster: served-vs-offline prediction equivalence at 4
-// replicas and in the N=1 degenerate case, deterministic work stealing
+// replicas and in the N=1 degenerate case, a 256-request burst absorbed by
+// 4 replicas with every answer offline-equal, deterministic work stealing
 // under skewed load, continuous batching and its max_batch cap, per-tenant
 // fair-share admission, cluster outcome accounting, and wakeup of an idle
 // worker by every Submit. Races are pinned with fail-point gates, never
@@ -171,6 +172,43 @@ TEST(ServeClusterTest, SingleReplicaDegenerateMatchesEngine) {
   cluster.Drain();
   EXPECT_EQ(cluster.metrics().outcome_count(ServeOutcome::kOk), n);
   EXPECT_EQ(cluster.cluster_metrics().stolen_requests(), 0);
+}
+
+TEST(ServeClusterTest, FourReplicasAbsorbBurstWithOfflineAnswers) {
+  TrainedBundle& b = Bundle();
+  // A 256-request burst is twice what one replica's queue holds; four
+  // replicas hold all of it, so every request is admitted and answered.
+  ServeCluster::Options options = UncachedClusterOptions(4);
+  options.replica.queue_capacity = 128;
+  options.replica.max_batch = 16;
+  ServeCluster cluster(b.servable, options);
+
+  constexpr int kBurst = 256;
+  const int n = b.dataset.size();
+  std::vector<Prediction> offline;
+  for (int i = 0; i < n; ++i) {
+    offline.push_back(OfflinePrediction(*b.model, b.pipeline->inputs()[i]));
+  }
+  std::vector<std::future<StatusOr<Prediction>>> futures;
+  futures.reserve(kBurst);
+  for (int i = 0; i < kBurst; ++i) {
+    futures.push_back(
+        cluster.Submit(b.dataset.graph(i % n),
+                       RequestOptions::WithDeadline(std::chrono::seconds(5))));
+  }
+  for (int i = 0; i < kBurst; ++i) {
+    StatusOr<Prediction> served = MustResolve(futures[i]);
+    ASSERT_TRUE(served.ok()) << i << ": " << served.status().ToString();
+    SCOPED_TRACE(i);
+    ExpectSameBytes(served.value(), offline[i % n]);
+  }
+  cluster.Drain();
+  EXPECT_EQ(cluster.metrics().outcome_count(ServeOutcome::kOk), kBurst);
+  EXPECT_EQ(cluster.metrics().outcome_count(ServeOutcome::kShed), 0);
+  EXPECT_EQ(cluster.metrics().outcome_count(ServeOutcome::kRejected), 0);
+  EXPECT_EQ(cluster.metrics().outcome_count(ServeOutcome::kDeadlineExceeded),
+            0);
+  EXPECT_EQ(cluster.metrics().total_outcomes(), kBurst);
 }
 
 TEST(ServeClusterTest, CacheHitBypassesReplicas) {

@@ -110,9 +110,11 @@ class ReferenceWl {
 };
 
 /// Power iteration on A + I over Graph's per-vertex neighbour vectors, with
-/// the per-component norms accumulated in a second pass.
+/// the per-component norms accumulated in a second pass. The iteration cap
+/// and tolerance are written out here, not read from the code under test.
 std::vector<double> ReferenceEigenvector(const Graph& g) {
-  const graph::CentralityOptions options;
+  constexpr int kMaxIterations = 200;
+  constexpr double kTolerance = 1e-10;
   const int n = g.NumVertices();
   if (n == 0) return {};
   if (g.NumEdges() == 0) {
@@ -137,7 +139,7 @@ std::vector<double> ReferenceEigenvector(const Graph& g) {
     }
   }
   std::vector<double> next(n, 0.0);
-  for (int iter = 0; iter < options.max_iterations; ++iter) {
+  for (int iter = 0; iter < kMaxIterations; ++iter) {
     for (Vertex v = 0; v < n; ++v) {
       double sum = x[v];
       for (Vertex u : g.Neighbors(v)) sum += x[u];
@@ -164,7 +166,7 @@ std::vector<double> ReferenceEigenvector(const Graph& g) {
       delta = std::max(delta, std::fabs(next[v] - x[v]));
     }
     x.swap(next);
-    if (!renormalized && delta < options.tolerance) break;
+    if (!renormalized && delta < kTolerance) break;
   }
   if (num_active > 0) {
     const double scale = 1.0 / std::sqrt(static_cast<double>(num_active));

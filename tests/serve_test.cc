@@ -57,10 +57,13 @@ TEST(PredictionCacheTest, LruEvictionOrder) {
   auto a = cache.Lookup("A");
   ASSERT_TRUE(a.has_value());
   EXPECT_EQ(a->label, 0);
-  std::vector<std::string> keys = cache.KeysByRecency();
-  ASSERT_EQ(keys.size(), 2u);
-  EXPECT_EQ(keys[0], "A");  // refreshed by the lookup above
-  EXPECT_EQ(keys[1], "C");
+  // The lookup above made A the most recent entry, so D evicts C.
+  cache.Insert("D", MakePrediction(3));
+  EXPECT_EQ(cache.size(), 2u);
+  EXPECT_EQ(cache.evictions(), 2);
+  EXPECT_TRUE(cache.Lookup("A").has_value());
+  EXPECT_FALSE(cache.Lookup("C").has_value());
+  EXPECT_TRUE(cache.Lookup("D").has_value());
 }
 
 TEST(PredictionCacheTest, InsertRefreshesExistingKey) {
